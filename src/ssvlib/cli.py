@@ -136,6 +136,8 @@ def _cmd_validate(args):
 
 
 def _cmd_sections(args):
+    if args.degree < 0:
+        raise _UsageError("--degree must be nonnegative")
     complex_, doc_label = load_complex(args.file)
     label = args.root_datum or doc_label
     if label is None:
@@ -212,7 +214,10 @@ def _cmd_degenerate(args):
 
 
 def _cmd_matroid(args):
-    shape = GradedShape(args.r, tuple(int(x) for x in args.ranks.split(",")))
+    try:
+        shape = GradedShape(args.r, tuple(int(x) for x in args.ranks.split(",")))
+    except ValueError as exc:
+        raise _UsageError(f"bad --r/--ranks: {exc}") from None
     if args.matroid_command == "weightset":
         points = weight_set(shape)
         results = {
@@ -222,6 +227,8 @@ def _cmd_matroid(args):
             "count": len(points),
         }
     elif args.matroid_command == "subdivisions":
+        if args.cap < 0:
+            raise _UsageError("--cap must be nonnegative")
         subdivisions = enumerate_matroid_subdivisions(
             shape, cap=args.cap, workers=args.workers
         )
@@ -378,7 +385,9 @@ def build_parser():
         mp.add_argument("--ranks", required=True, help="comma separated ranks")
         if name == "subdivisions":
             mp.add_argument("--cap", type=int, default=2)
-            mp.add_argument("--workers", type=int, default=1)
+            mp.add_argument(
+                "--workers", type=int, default=1, help="accepted and ignored"
+            )
         if name == "thincell":
             mp.add_argument("--d", required=True, help='JSON map like {"01": 1}')
 

@@ -8,6 +8,7 @@ cohomology module.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice, is_direct_summand
-from .linalg import mat_det, solve_rational, vec_sub
+from .linalg import mat_det, solve_rational
 from .polyhedral import (
     _AffineFrame,
+    _triangulate_rays,
     cone_over,
     convex_hull,
     graded_lattice_points,
@@ -194,53 +196,12 @@ def _volume_of_points(points):
     hull = convex_hull(points, dimension_cap=16)
     if hull.dim < d:
         return Fraction(0)
-    verts = hull.vertices
-    apex = verts[0]
-    total = Fraction(0)
-    for facet_set in hull.facet_vertex_sets():
-        fverts = [verts[i] for i in sorted(facet_set)]
-        if apex in fverts:
-            continue
-        fframe = _AffineFrame(fverts)
-        fcoords = [fframe.coords(v) for v in fverts]
-        for simplex in _triangulate_full(fcoords):
-            pts = [_frame_lift(fframe, s) for s in simplex]
-            mat = [vec_sub(p, apex) for p in pts]
-            total += abs(mat_det(mat))
-    factorial = 1
-    for i in range(2, d + 1):
-        factorial *= i
-    return total / factorial
-
-
-def _frame_lift(frame, coords):
-    point = [Fraction(x) for x in frame.base]
-    for t, direction in zip(coords, frame.directions):
-        for k in range(len(point)):
-            point[k] += t * direction[k]
-    return tuple(point)
-
-
-def _triangulate_full(coords):
-    """Triangulation of a full-dimensional hull in Q^d (pulling scheme)."""
-    d = len(coords[0]) if coords else 0
-    if d == 0:
-        return [[coords[0]]] if coords else []
-    hull = convex_hull(coords, dimension_cap=16)
-    verts = hull.vertices
-    if len(verts) == d + 1:
-        return [list(verts)]
-    apex = verts[0]
-    out = []
-    for facet_set in hull.facet_vertex_sets():
-        fverts = [verts[i] for i in sorted(facet_set)]
-        if apex in fverts:
-            continue
-        fframe = _AffineFrame(fverts)
-        fcoords = [fframe.coords(v) for v in fverts]
-        for simplex in _triangulate_full(fcoords):
-            out.append([apex] + [_frame_lift(fframe, s) for s in simplex])
-    return out
+    # |det| of a homogenized simplex is d! times its volume
+    rays = [(1,) + v for v in hull.vertices]
+    total = sum(
+        abs(mat_det([rays[i] for i in simplex])) for simplex in _triangulate_rays(rays)
+    )
+    return Fraction(total) / math.factorial(d)
 
 
 def moment_set_is_convex(complex_):

@@ -282,19 +282,11 @@ def regular_subdivision(polytope, points, heights):
             coord = v[:-1]
             base = inverse.get(coord)
             if base is None:
-                base = _frame_point(frame, coord)
+                base = frame.point(coord)
             ambient_pts.append(base)
         cells.append(convex_hull(ambient_pts))
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
-
-
-def _frame_point(frame, coords):
-    point = [Fraction(x) for x in frame.base]
-    for t, direction in zip(coords, frame.directions):
-        for i in range(len(point)):
-            point[i] += t * direction[i]
-    return tuple(point)
 
 
 def special_fiber_complex(gamma, polytope, points, heights):

@@ -1,7 +1,6 @@
 """Weight sets of graded modules and matroid-polytope subdivisions."""
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,9 +159,8 @@ def is_matroid_polytope(polytope):
     for dim, vertex_set in poset.faces:
         if dim != 1:
             continue
-        idx = sorted(vertex_set)
-        extremes = [polytope.vertices[i] for i in idx]
-        ends = convex_hull(extremes).vertices
+        # an edge's vertex set is its two endpoints
+        ends = [polytope.vertices[i] for i in sorted(vertex_set)]
         direction = canonical_direction(vec_sub(ends[1], ends[0]))
         if direction not in allowed:
             return False
@@ -201,8 +199,9 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
 
     The search runs over integer height assignments up to coordinate
     permutations preserving the ranks, then closes the result under those
-    permutations; output is deterministic and sorted regardless of the
-    worker count.
+    permutations; output is deterministic and sorted.  ``workers`` is
+    accepted and ignored: the search is exact arithmetic under the GIL, so
+    a thread pool did not pay.
     """
     points = weight_set(shape)
     if not points:
@@ -238,18 +237,11 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
             f"{len(assignments)} height assignments exceed the budget {budget}"
         )
 
-    def evaluate(heights):
-        cells = regular_subdivision(hull, points, heights)
-        return tuple(sorted(cells, key=lambda c: c.vertices))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, assignments))
-    else:
-        evaluated = [evaluate(h) for h in assignments]
-
     found = {}
-    for cells in evaluated:
+    for heights in assignments:
+        cells = tuple(
+            sorted(regular_subdivision(hull, points, heights), key=lambda c: c.vertices)
+        )
         key = _subdivision_key(cells)
         if key not in found and all(is_matroid_polytope(c) for c in cells):
             found[key] = cells

@@ -1,9 +1,16 @@
 """Exact rational convex geometry at desk scale.
 
-Polytopes and cones carry both a vertex/ray and a halfspace description,
-derived from one another by exhaustive supporting-hyperplane search.  The
-search is combinatorial in the input size, which is fine under the ambient
-dimension cap (6) and the small example sizes this library targets.
+Polytopes and cones carry both a vertex/ray and a halfspace description.
+Every conversion between the two runs through one kernel,
+``_supporting_normals``: given integer vectors spanning Q^k, it returns the
+primitive normals n with n.v >= 0 on every vector and n.v == 0 on k - 1
+independent ones.  These are the facet normals of the cone the vectors
+generate and, by cone duality, the extreme rays of the cone the vectors cut
+out as inequalities.  A polytope's hull is the facet search on the
+homogenized points (1, t); its vertices from halfspaces are the rays of the
+homogenized constraint cone.  The search is combinatorial in the input size,
+which is fine under the ambient dimension cap (6) and the small example
+sizes this library targets.
 """
 
 import itertools
@@ -37,6 +44,15 @@ def _nullspace(rows, ncols):
             for i in range(ncols)
         ]
     return rational_nullspace(rows)
+
+
+def _combine(base, coeffs, directions):
+    """The point base + sum of coeffs[i] * directions[i]."""
+    point = list(base)
+    for t, d in zip(coeffs, directions):
+        for i in range(len(point)):
+            point[i] += t * d[i]
+    return tuple(point)
 
 
 def _norm_constraint(normal, offset):
@@ -94,37 +110,41 @@ class _AffineFrame:
             c += ni * Fraction(self.base[p])
         return _norm_constraint(amb, c)
 
+    def point(self, coords):
+        """The hull point with the given frame coordinates."""
+        return _combine(self.base, coords, self.directions)
 
-def _facets_from_points(coords, dim):
-    """Facet inequalities of a full-dimensional hull in reduced coords."""
-    if dim == 0:
-        return []
-    facets = set()
-    for combo in itertools.combinations(range(len(coords)), dim):
-        diffs = [vec_sub(coords[c], coords[combo[0]]) for c in combo[1:]]
-        if diffs and mat_rank(diffs) != dim - 1:
-            continue
-        ns = _nullspace(diffs, dim)
-        if len(ns) != 1:
-            continue
-        normal = ns[0]
-        base = vec_dot(normal, coords[combo[0]])
-        below = above = False
-        for p in coords:
-            val = vec_dot(normal, p)
-            if val > base:
+
+def _supporting_normals(vectors, k):
+    """Primitive normals of the hyperplanes supporting integer vectors in Z^k.
+
+    A normal n is kept when n.v >= 0 for every vector, n.v > 0 for some, and
+    n is the kernel line of k - 1 of the vectors.  For vectors spanning Q^k
+    these are the facet normals of the cone they generate, and equally the
+    extreme rays of the cone {x : v.x >= 0 for every vector v}.
+    """
+    vectors = set(vectors)
+    normals = set()
+    for combo in itertools.combinations(vectors, k - 1):
+        if k == 1:
+            line = (1,)
+        else:
+            kernel = integer_kernel(combo)
+            if len(kernel) != 1:
+                continue
+            line = kernel[0]
+        above = below = False
+        for v in vectors:
+            val = vec_dot(line, v)
+            if val > 0:
                 above = True
-            elif val < base:
+            elif val < 0:
                 below = True
-            if below and above:
+            if above and below:
                 break
-        if below and above:
-            continue
-        if below:
-            normal = tuple(-x for x in normal)
-            base = -base
-        facets.add(_norm_constraint(normal, base))
-    return sorted(facets)
+        if above != below:
+            normals.add(line if above else tuple(-x for x in line))
+    return normals
 
 
 class Polytope:
@@ -284,10 +304,15 @@ def convex_hull(points, dimension_cap=DIMENSION_CAP):
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
     frame = _AffineFrame(pts)
     coords = [frame.coords(p) for p in pts]
-    facets_red = _facets_from_points(coords, frame.dim)
     if frame.dim == 0:
+        facets_red = []
         vertices = tuple(pts)
     else:
+        # facet (a0, a) of the cone over the points is a . t >= -a0
+        homogenized = [clear_denominators((1,) + t) for t in coords]
+        facets_red = [
+            (n[1:], -n[0]) for n in _supporting_normals(homogenized, frame.dim + 1)
+        ]
         vertices = tuple(
             pts[i]
             for i, t in enumerate(coords)
@@ -314,36 +339,20 @@ def from_halfspaces(ambient_rank, inequalities, equations=()):
     else:
         part = tuple(Fraction(0) for _ in range(ambient_rank))
         dirs = _nullspace([], ambient_rank)
-    k = len(dirs)
-    red = []
+    # vertices t of {rn . t >= rc} are the rays (s, s t), s > 0, of the cone
+    # cut out by -rc s + rn . x >= 0 and s >= 0
+    homogenized = [(1,) + (0,) * len(dirs)]
     for n, c in inequalities:
         rn = tuple(vec_dot(n, d) for d in dirs)
         rc = Fraction(c) - vec_dot(n, part)
-        red.append((rn, rc))
-    if k == 0:
-        if all(c <= 0 for _, c in red):
-            return convex_hull([part])
+        homogenized.append(clear_denominators((-rc,) + rn))
+    lifted = [
+        _combine(part, [Fraction(xi, s) for xi in x], dirs)
+        for s, *x in _supporting_normals(homogenized, len(dirs) + 1)
+        if s > 0
+    ]
+    if not lifted:
         return None
-    candidates = set()
-    for combo in itertools.combinations(range(len(red)), k):
-        rows = [red[i][0] for i in combo]
-        rhs = [red[i][1] for i in combo]
-        if mat_rank(rows) != k:
-            continue
-        sol = solve_rational(rows, rhs)
-        if sol is None:
-            continue
-        if all(vec_dot(n, sol) >= c for n, c in red):
-            candidates.add(sol)
-    if not candidates:
-        return None
-    lifted = []
-    for t in candidates:
-        point = list(part)
-        for ti, d in zip(t, dirs):
-            for i in range(ambient_rank):
-                point[i] += ti * d[i]
-        lifted.append(tuple(point))
     return convex_hull(lifted)
 
 
@@ -462,30 +471,8 @@ class Cone:
             return cls(ambient_rank, (), (), eqs)
         rows, pivots = rational_rref(prim)
         k = len(rows)
-        coords = [tuple(Fraction(r[p]) for p in pivots) for r in prim]
-        facets_red = set()
-        for combo in itertools.combinations(range(len(coords)), k - 1):
-            chosen = [coords[i] for i in combo]
-            if chosen and mat_rank(chosen) != k - 1:
-                continue
-            ns = _nullspace(chosen, k)
-            if len(ns) != 1:
-                continue
-            normal = ns[0]
-            below = above = False
-            for p in coords:
-                val = vec_dot(normal, p)
-                if val > 0:
-                    above = True
-                elif val < 0:
-                    below = True
-                if below and above:
-                    break
-            if below and above:
-                continue
-            if below:
-                normal = tuple(-x for x in normal)
-            facets_red.add(primitive(normal))
+        coords = [tuple(r[p] for p in pivots) for r in prim]
+        facets_red = _supporting_normals(coords, k)
         pointed = bool(facets_red) and mat_rank(sorted(facets_red)) == k
         ineqs = tuple(
             sorted(_pull_linear(n, pivots, ambient_rank) for n in facets_red)
@@ -522,7 +509,7 @@ def cone_from_halfspaces(ambient_rank, inequality_normals, equation_normals=()):
     ineqs = sorted({primitive(n) for n in inequality_normals if any(x != 0 for x in n)})
     eqs = sorted({canonical_direction(n) for n in equation_normals if any(x != 0 for x in n)})
     lin = _nullspace(ineqs + eqs, ambient_rank)
-    if lin and len(lin) > 0 and any(any(x != 0 for x in v) for v in lin):
+    if lin:
         v = primitive(lin[0])
         sub = cone_from_halfspaces(ambient_rank, ineqs, eqs + [v])
         return Cone.from_rays(
@@ -534,25 +521,8 @@ def cone_from_halfspaces(ambient_rank, inequality_normals, equation_normals=()):
     k = len(span)
     if k == 0:
         return Cone.from_rays(ambient_rank, ())
-    red = [tuple(vec_dot(n, d) for d in span) for n in ineqs]
-    rays = set()
-    for combo in itertools.combinations(range(len(red)), k - 1):
-        chosen = [red[i] for i in combo]
-        if chosen and mat_rank(chosen) != k - 1:
-            continue
-        ns = _nullspace(chosen, k)
-        if len(ns) != 1:
-            continue
-        for cand in (ns[0], tuple(-x for x in ns[0])):
-            if all(vec_dot(n, cand) >= 0 for n in red):
-                rays.add(primitive(cand))
-    lifted = []
-    for r in rays:
-        point = [Fraction(0)] * ambient_rank
-        for ti, d in zip(r, span):
-            for i in range(ambient_rank):
-                point[i] += ti * d[i]
-        lifted.append(tuple(point))
+    red = [clear_denominators(tuple(vec_dot(n, d) for d in span)) for n in ineqs]
+    lifted = [_combine([0] * ambient_rank, r, span) for r in _supporting_normals(red, k)]
     return Cone.from_rays(ambient_rank, lifted, _canonicalize=False)
 
 
@@ -779,20 +749,20 @@ def monoid_membership(generators, target, cone=None):
     if not cone.is_pointed:
         raise NotPointedError("membership search needs a pointed cone")
     seen = set()
-
-    def search(rest):
+    # depth first, trying the generators in the given order
+    stack = [tuple(target)]
+    while stack:
+        rest = stack.pop()
         if all(x == 0 for x in rest):
             return True
         if rest in seen:
-            return False
+            continue
         seen.add(rest)
-        for g in gens:
+        for g in reversed(gens):
             diff = vec_sub(rest, g)
-            if cone.contains(diff) and search(diff):
-                return True
-        return False
-
-    return search(tuple(target))
+            if cone.contains(diff):
+                stack.append(diff)
+    return False
 
 
 def is_saturated_monoid(monoid):

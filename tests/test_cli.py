@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,27 @@ def test_matroid_thread_count_determinism():
     assert json.loads(one.stdout)["results"] == json.loads(four.stdout)["results"]
 
 
+P1XP1 = str(Path(__file__).resolve().parent.parent / "fixtures" / "p1xp1.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sections", P1XP1, "--degree", "-1", "--root-datum", "A1"],
+        ["matroid", "weightset", "--r", "5", "--ranks", "1,1"],
+        ["matroid", "weightset", "--r", "1", "--ranks", "0,1"],
+        ["matroid", "weightset", "--r", "1", "--ranks", "1,x"],
+        ["matroid", "subdivisions", "--r", "2", "--ranks", "1,1,1", "--cap", "-1"],
+    ],
+)
+def test_bad_parameters_are_usage_errors(argv):
+    res = run_cli(argv)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("usage error:")
+    assert res.stderr.count("\n") == 1
+
+
 def test_out_file(docs, tmp_path):
     out = tmp_path / "report.json"
     res = run_cli(["validate", str(docs["triangles"]), "--format", "json", "--out", str(out)])
@@ -260,8 +282,6 @@ def test_out_file(docs, tmp_path):
 
 
 def test_shipped_fixture_documents_round_trip():
-    from pathlib import Path
-
     from ssvlib.documents import document_to_heights, heights_to_document, load_json
 
     root = Path(__file__).resolve().parent.parent / "fixtures"

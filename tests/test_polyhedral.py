@@ -215,6 +215,8 @@ def test_monoid_membership():
     assert monoid_membership([(2,), (3,)], (5,))
     assert not monoid_membership([(2,), (3,)], (1,))
     assert monoid_membership([(2,), (3,)], (0,))
+    # deep searches run on an explicit stack, not the call stack
+    assert monoid_membership([(1, 0), (1, 1)], (3000, 1000))
 
 
 def test_saturation_examples():

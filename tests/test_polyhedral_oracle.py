@@ -1,0 +1,93 @@
+"""Cross-check of the supporting-normals kernel against the brute-force oracle.
+
+Random small rational inputs go through both the library and the reference
+searches in ``polyhedral_oracle``; every description (vertices or rays,
+inequalities, equations) must come out identical.
+"""
+
+from fractions import Fraction
+
+import polyhedral_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssvlib.complexes import _volume_of_points
+from ssvlib.polyhedral import (
+    Cone,
+    cone_from_halfspaces,
+    convex_hull,
+    intersect_polytopes,
+)
+
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# small integers give the degenerate (collinear, coplanar) configurations
+coordinate = st.one_of(
+    st.integers(-2, 2).map(Fraction),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+integer = st.integers(-2, 2)
+
+
+def vector_lists(entry, dims, min_size, max_size):
+    return st.integers(*dims).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[entry] * d), min_size=min_size, max_size=max_size
+        ).map(lambda vs: (d, vs))
+    )
+
+
+def _polytope_parts(p):
+    return p.vertices, p.inequalities, p.equations, p.dim
+
+
+def _cone_parts(c):
+    return c.rays, c.inequalities, c.equations
+
+
+@EXAMPLES
+@given(vector_lists(coordinate, (1, 4), 1, 7))
+def test_convex_hull_matches_oracle(case):
+    _, points = case
+    assert _polytope_parts(convex_hull(points)) == _polytope_parts(
+        oracle.convex_hull(points)
+    )
+
+
+@EXAMPLES
+@given(vector_lists(coordinate, (1, 4), 1, 7))
+def test_volume_matches_oracle(case):
+    _, points = case
+    assert _volume_of_points(points) == oracle._volume_of_points(points)
+
+
+@EXAMPLES
+@given(vector_lists(integer, (1, 4), 0, 6))
+def test_cone_from_rays_matches_oracle(case):
+    d, rays = case
+    assert _cone_parts(Cone.from_rays(d, rays)) == _cone_parts(
+        oracle.cone_from_rays(d, rays)
+    )
+
+
+@EXAMPLES
+@given(vector_lists(integer, (1, 4), 0, 6), st.data())
+def test_cone_from_halfspaces_matches_oracle(case, data):
+    d, normals = case
+    equations = data.draw(st.lists(st.tuples(*[integer] * d), max_size=2))
+    assert _cone_parts(cone_from_halfspaces(d, normals, equations)) == _cone_parts(
+        oracle.cone_from_halfspaces(d, normals, equations)
+    )
+
+
+@EXAMPLES
+@given(vector_lists(coordinate, (1, 3), 1, 6), st.data())
+def test_intersect_polytopes_matches_oracle(case, data):
+    d, points = case
+    others = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=6))
+    p, q = convex_hull(points), convex_hull(others)
+    mine, reference = intersect_polytopes(p, q), oracle.intersect_polytopes(p, q)
+    if reference is None:
+        assert mine is None
+    else:
+        assert _polytope_parts(mine) == _polytope_parts(reference)
