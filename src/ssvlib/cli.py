@@ -216,7 +216,7 @@ def _cmd_degenerate(args):
 def _cmd_matroid(args):
     try:
         shape = GradedShape(args.r, tuple(int(x) for x in args.ranks.split(",")))
-    except ValueError as exc:
+    except (ValueError, ParamError) as exc:
         raise _UsageError(f"bad --r/--ranks: {exc}") from None
     if args.matroid_command == "weightset":
         points = weight_set(shape)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import IncompatibleRestrictionError, MissingAutError
 from .lattice import Lattice, cokernel_invariants, integer_kernel
-from .polyhedral import intersect_polytopes
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,17 @@ def _supplied_restriction(cell, face_cell):
 
 
 def _intersection_cell(complex_, cells):
-    poly = cells[0].polytope
+    """The stored cell on the common vertices of the cells, None if disjoint.
+
+    In a valid complex every intersection of cells is a common face, so its
+    vertices are exactly the vertices the cells share.
+    """
+    common = set(cells[0].polytope.vertices)
     for other in cells[1:]:
-        inter = intersect_polytopes(poly, other.polytope)
-        if inter is None:
-            return None
-        poly = inter
-    stored = complex_.cell_with_polytope(poly)
+        common &= set(other.polytope.vertices)
+    if not common:
+        return None
+    stored = complex_.cell_with_vertices(sorted(common))
     if stored is None:
         raise MissingAutError(
             "intersection of "

@@ -112,7 +112,9 @@ class ValidationReport:
 class SSVComplex:
     """A validated-on-demand complex of moment polytopes."""
 
-    __slots__ = ("rank", "gamma", "cells", "maximal_ids", "_by_id", "_report")
+    __slots__ = (
+        "rank", "gamma", "cells", "maximal_ids", "_by_id", "_by_vertices", "_report"
+    )
 
     def __init__(self, rank, gamma, cells, maximal_ids):
         if gamma.ambient_rank != rank + 1:
@@ -127,11 +129,15 @@ class SSVComplex:
         for mid in maximal_ids:
             if mid not in by_id:
                 raise ValueError(f"maximal id {mid!r} is not a cell")
+        by_vertices = {}
+        for cell_id in sorted(by_id):
+            by_vertices.setdefault(by_id[cell_id].polytope.vertices, by_id[cell_id])
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "cells", tuple(cells))
         object.__setattr__(self, "maximal_ids", tuple(sorted(maximal_ids)))
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_vertices", by_vertices)
         object.__setattr__(self, "_report", None)
 
     def __setattr__(self, name, value):
@@ -146,11 +152,12 @@ class SSVComplex:
     def sorted_cells(self):
         return sorted(self.cells, key=lambda c: c.id)
 
+    def cell_with_vertices(self, vertices):
+        """The first cell in id order with exactly these (sorted) vertices."""
+        return self._by_vertices.get(tuple(vertices))
+
     def cell_with_polytope(self, polytope):
-        for c in self.sorted_cells():
-            if c.polytope == polytope:
-                return c
-        return None
+        return self.cell_with_vertices(polytope.vertices)
 
     def validate(self):
         report = object.__getattribute__(self, "_report")
@@ -173,11 +180,6 @@ def singleton_complex(cell, gamma=None):
     """Wrap one cell as a complex (ambient group defaults to the cell's)."""
     gamma = gamma if gamma is not None else cell.weight_group
     return SSVComplex(cell.polytope.ambient_rank, gamma, (cell,), (cell.id,))
-
-
-def _restricted_weight_group(gamma, cone):
-    """gamma cap the span of the cone: the saturated face weight group."""
-    return gamma.intersect_subspace(cone.rays)
 
 
 def _frame_volume(frame, polytope):
@@ -304,11 +306,11 @@ def validate_complex(complex_):
     if not inter_witness:
         for face_id, pairs in sorted(face_groups.items()):
             face_cell = complex_.cell(face_id)
-            span_cone = face_cell.cone()
+            rays = face_cell.cone().rays
             expected = face_cell.weight_group
             for a, b, _inter in pairs:
-                ra = _restricted_weight_group(a.weight_group, span_cone)
-                rb = _restricted_weight_group(b.weight_group, span_cone)
+                ra = a.weight_group.intersect_subspace(rays)
+                rb = b.weight_group.intersect_subspace(rays)
                 if ra != rb or ra != expected:
                     restrict_witness = (
                         f"cells {a.id},{b.id} restrict differently on face {face_id}"
@@ -346,7 +348,7 @@ def degree_slice(complex_, degree):
 def section_module(complex_, degree, datum):
     """Weights and dimensions of the degree-n sections."""
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ParamError("degree must be nonnegative")
     complex_.ensure_valid()
     weights = []
     total = 0
@@ -497,30 +499,36 @@ def sl2_catalog(kind, **params):
 def complete_faces(complex_, full=True):
     """Add missing face cells, inheriting saturated weight groups.
 
-    With ``full`` every face of every cell is added; otherwise only pairwise
-    intersections.  New cells get ids "face0", "face1", ... in a
-    deterministic order, and weight groups gamma cap span(cone(face)).
+    With ``full`` every face of every cell is added and nothing else: in a
+    polyhedral complex each pairwise intersection is a common face, so it
+    is among them (``validate_complex`` checks this).  Otherwise only
+    pairwise intersections are added, up to a fixpoint.  New cells get ids
+    "face0", "face1", ... in a deterministic order, and weight groups
+    gamma cap span(cone(face)).
     """
     cells = list(complex_.sorted_cells())
-    polytopes = {c.polytope for c in cells}
     fresh = []
     if full:
+        known = {c.polytope.vertices for c in cells}
         for c in cells:
-            for face in c.polytope.face_polytopes():
-                if face not in polytopes:
-                    polytopes.add(face)
-                    fresh.append(face)
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(polytopes, key=lambda p: (p.dim, p.vertices))
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                inter = intersect_polytopes(current[i], current[j])
-                if inter is not None and inter not in polytopes:
-                    polytopes.add(inter)
-                    fresh.append(inter)
-                    changed = True
+            for f in c.polytope.face_vertex_sets():
+                vertices = tuple(c.polytope.vertices[i] for i in sorted(f))
+                if vertices not in known:
+                    known.add(vertices)
+                    fresh.append(c.polytope.face_polytope(f))
+    else:
+        polytopes = {c.polytope for c in cells}
+        changed = True
+        while changed:
+            changed = False
+            current = sorted(polytopes, key=lambda p: (p.dim, p.vertices))
+            for i in range(len(current)):
+                for j in range(i + 1, len(current)):
+                    inter = intersect_polytopes(current[i], current[j])
+                    if inter is not None and inter not in polytopes:
+                        polytopes.add(inter)
+                        fresh.append(inter)
+                        changed = True
     fresh.sort(key=lambda p: (p.dim, p.vertices))
     new_cells = cells[:]
     taken = {c.id for c in cells}
@@ -528,7 +536,7 @@ def complete_faces(complex_, full=True):
     for face in fresh:
         while f"face{k}" in taken:
             k += 1
-        group = _restricted_weight_group(complex_.gamma, cone_over(face))
+        group = complex_.gamma.intersect_subspace(cone_over(face).rays)
         new_cells.append(Cell(f"face{k}", face, group))
         taken.add(f"face{k}")
     return SSVComplex(complex_.rank, complex_.gamma, new_cells, complex_.maximal_ids)

@@ -14,7 +14,7 @@ from math import gcd
 
 from .complexes import Cell, SSVComplex, complete_faces
 from .errors import DegenerateLiftError, DomainError, NotReducedError
-from .linalg import vec_dot
+from .linalg import primitive, solve_rational, vec_dot
 from .polyhedral import (
     _AffineFrame,
     AffineMonoid,
@@ -124,8 +124,6 @@ class HeightFunction:
 
 def _affine_functional(rows, rhs, width):
     """Solve rows . f = rhs for a homogeneous functional of given width."""
-    from .linalg import solve_rational
-
     sol = solve_rational(rows, rhs)
     if sol is None:
         raise DegenerateLiftError("cell values do not lie on a hyperplane")
@@ -143,21 +141,9 @@ def _max_domains(cone, height):
                 continue
             diff = tuple(a - b for a, b in zip(pj.functional, pi.functional))
             if any(x != 0 for x in diff):
-                normals.append(_clear(diff))
+                normals.append(primitive(diff))
         out.append(cone_from_halfspaces(cone.ambient_rank, normals, equations))
     return out
-
-
-def _clear(vec):
-    from .linalg import clear_denominators
-
-    ints = clear_denominators(vec)
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g > 1:
-        ints = tuple(a // g for a in ints)
-    return ints
 
 
 def _check_coverage(cone, height):
@@ -195,7 +181,7 @@ def graph_cone(cone, height):
     normals = [(0,) + tuple(n) for n in cone.inequalities]
     equations = [(0,) + tuple(n) for n in cone.equations]
     for p in height.pieces:
-        normals.append(_clear((Fraction(1),) + tuple(-x for x in p.functional)))
+        normals.append(primitive((Fraction(1),) + tuple(-x for x in p.functional)))
     return cone_from_halfspaces(d + 1, normals, equations)
 
 
@@ -259,7 +245,8 @@ def regular_subdivision(polytope, points, heights):
     for p in pts:
         if not polytope.contains_point(p):
             raise DegenerateLiftError(f"lift point {p} is outside the polytope")
-    if convex_hull(pts) != polytope:
+    # the points lie in the polytope: their hull is it iff they include its vertices
+    if not set(polytope.vertices) <= set(pts):
         raise DegenerateLiftError("lift points must span the polytope")
     frame = _AffineFrame(sorted(pts))
     reduced = [frame.coords(p) for p in sorted(pts)]

@@ -38,7 +38,7 @@ class OutsideSupportError(SSVError):
 
 
 class ParamError(SSVError):
-    """Invalid parameters for a catalog entry."""
+    """A parameter is out of range: catalog entries, degrees, shapes, caps."""
 
 
 class MissingAutError(SSVError):

@@ -8,31 +8,12 @@ from fractions import Fraction
 from math import gcd
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def vec_is_zero(v):
-    return all(a == 0 for a in v)
-
-
-def vec_gcd(v):
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a) if isinstance(a, int) else 0)
-    return g
 
 
 def primitive(v):

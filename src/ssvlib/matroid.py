@@ -4,9 +4,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidRankDataError, NonLatticeError, SearchBudgetError
+from .errors import InvalidRankDataError, NonLatticeError, ParamError, SearchBudgetError
 from .linalg import canonical_direction, vec_sub
-from .polyhedral import convex_hull, enumerate_faces, in_convex_hull
+from .polyhedral import convex_hull, in_convex_hull
 from .degeneration import regular_subdivision
 
 SEARCH_BUDGET = 200_000
@@ -23,9 +23,9 @@ class GradedShape:
     def __post_init__(self):
         ranks = tuple(int(x) for x in self.ranks)
         if any(x < 1 for x in ranks):
-            raise ValueError("all ranks must be positive")
+            raise ParamError("all ranks must be positive")
         if not 0 <= self.r <= sum(ranks):
-            raise ValueError("need 0 <= r <= sum of ranks")
+            raise ParamError("need 0 <= r <= sum of ranks")
         object.__setattr__(self, "ranks", ranks)
 
     @property
@@ -155,11 +155,10 @@ def is_matroid_polytope(polytope):
                         tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
                     )
                 )
-    poset = enumerate_faces(polytope)
-    for dim, vertex_set in poset.faces:
-        if dim != 1:
+    for vertex_set in polytope.face_vertex_sets():
+        # the edges are exactly the faces with two vertices
+        if len(vertex_set) != 2:
             continue
-        # an edge's vertex set is its two endpoints
         ends = [polytope.vertices[i] for i in sorted(vertex_set)]
         direction = canonical_direction(vec_sub(ends[1], ends[0]))
         if direction not in allowed:
@@ -203,6 +202,8 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
     accepted and ignored: the search is exact arithmetic under the GIL, so
     a thread pool did not pay.
     """
+    if cap < 0:
+        raise ParamError("cap must be nonnegative")
     points = weight_set(shape)
     if not points:
         return []
@@ -252,19 +253,14 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
             fresh = []
             for cells in frontier:
                 for perm in perms:
-                    image = tuple(
-                        sorted(
-                            (
-                                convex_hull(
-                                    [_permute_point(v, perm) for v in c.vertices]
-                                )
-                                for c in cells
-                            ),
-                            key=lambda c: c.vertices,
-                        )
-                    )
-                    key = _subdivision_key(image)
+                    # a coordinate permutation maps vertices onto vertices
+                    images = [
+                        tuple(sorted(_permute_point(v, perm) for v in c.vertices))
+                        for c in cells
+                    ]
+                    key = frozenset(images)
                     if key not in found:
+                        image = tuple(convex_hull(vs) for vs in sorted(images))
                         found[key] = image
                         fresh.append(image)
             frontier = fresh

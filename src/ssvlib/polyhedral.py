@@ -242,18 +242,24 @@ class Polytope:
     def face_polytope(self, vertex_indices):
         return convex_hull([self.vertices[i] for i in sorted(vertex_indices)])
 
-    def face_polytopes(self):
-        out = [self.face_polytope(f) for f in self.face_vertex_sets()]
-        return sorted(out, key=lambda p: (p.dim, p.vertices))
-
     def is_face_of(self, other):
-        """True iff this polytope is a face of the other one."""
+        """True iff this polytope is a face of the other one.
+
+        Faces are vertex-index sets closed under the facet meet: an index
+        set is a face exactly when it equals the intersection of the facet
+        vertex sets containing it (the empty intersection is every vertex).
+        """
         if self.ambient_rank != other.ambient_rank:
             return False
-        mine = set(self.vertices)
-        return any(
-            {other.vertices[i] for i in f} == mine for f in other.face_vertex_sets()
-        )
+        index = {v: i for i, v in enumerate(other.vertices)}
+        if any(v not in index for v in self.vertices):
+            return False
+        mine = frozenset(index[v] for v in self.vertices)
+        meet = frozenset(index.values())
+        for f in other.facet_vertex_sets():
+            if mine <= f:
+                meet &= f
+        return mine == meet
 
     def scaled(self, factor):
         """The dilate factor * P for a positive rational factor."""

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDominantError, RankError
+from .linalg import mat_identity, mat_mul, solve_rational
 from .polyhedral import convex_hull, from_halfspaces, relative_interiors_meet
 
 RANK_CAP = 4
@@ -60,8 +61,6 @@ class RootDatum:
         object.__setattr__(self, "d", tuple(d))
         # Gram matrix of the fundamental weights: G * C = diag(d).
         n = self.rank
-        from .linalg import solve_rational
-
         cols = []
         for j in range(n):
             rhs = tuple(d[j] if i == j else Fraction(0) for i in range(n))
@@ -96,13 +95,13 @@ class RootDatum:
         """All Weyl group elements as matrices acting on weight coordinates."""
         n = self.rank
         gens = [self.reflection_matrix(i) for i in range(n)]
-        seen = {tuple(tuple(r) for r in _identity(n))}
+        seen = {mat_identity(n)}
         frontier = list(seen)
         while frontier:
             fresh = []
             for m in frontier:
                 for g in gens:
-                    prod = _matmul(g, m)
+                    prod = mat_mul(g, m)
                     if prod not in seen:
                         seen.add(prod)
                         fresh.append(prod)
@@ -156,15 +155,6 @@ class RootDatum:
         return [
             (tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
         ]
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _matmul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 @lru_cache(maxsize=None)

@@ -61,15 +61,18 @@ def test_chain_validates_and_poset():
 
 
 def test_overlapping_squares_fail():
-    x = overlapping_squares_complex()
-    report = x.validate()
-    assert not report.passed
-    names = [c.name for c in report.failures()]
-    assert "pairwise-intersections" in names
-    failure = next(c for c in report.failures() if c.name == "pairwise-intersections")
-    assert "a" in failure.witness and "b" in failure.witness
-    with pytest.raises(ValidationError):
-        x.ensure_valid()
+    squares = overlapping_squares_complex()
+    for x in (squares, complete_faces(squares)):
+        report = x.validate()
+        assert not report.passed
+        names = [c.name for c in report.failures()]
+        assert "pairwise-intersections" in names
+        failure = next(
+            c for c in report.failures() if c.name == "pairwise-intersections"
+        )
+        assert "a" in failure.witness and "b" in failure.witness
+        with pytest.raises(ValidationError):
+            x.ensure_valid()
 
 
 def test_missing_face_cell_fails():
@@ -119,6 +122,8 @@ def test_section_module_segre():
     assert [w for w, _, _ in summary.weights] == [(0,), (2,)]
     assert summary.total_dimension == 4
     assert section_module(x, 0, a1).total_dimension == 1
+    with pytest.raises(ParamError):
+        section_module(x, -1, a1)
 
 
 def test_section_module_chain_and_mayer_vietoris():

@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 from ssvlib.complexes import Cell, SSVComplex, complete_faces
-from ssvlib.errors import InvalidRankDataError, NonLatticeError, SearchBudgetError
+from ssvlib.errors import (
+    InvalidRankDataError,
+    NonLatticeError,
+    ParamError,
+    SearchBudgetError,
+)
 from ssvlib.lattice import Lattice
 from ssvlib.matroid import (
     GradedShape,
@@ -53,6 +58,10 @@ def test_rank_function_defaults_and_validation():
     with pytest.raises(InvalidRankDataError):
         # violates submodularity with the forced boundary values
         RankFunctionData(shape, {(0, 1): 2, (2, 3): 2})
+    with pytest.raises(ParamError):
+        GradedShape(5, (1, 1))
+    with pytest.raises(ParamError):
+        GradedShape(1, (0, 1))
 
 
 def test_thin_cell_drops_point():
@@ -152,6 +161,8 @@ def test_single_point_trivial():
 def test_search_budget_error():
     with pytest.raises(SearchBudgetError):
         enumerate_matroid_subdivisions(GradedShape(3, tuple([1] * 13)))
+    with pytest.raises(ParamError):
+        enumerate_matroid_subdivisions(octa_shape(), cap=-1)
 
 
 def test_workers_do_not_change_output():

@@ -2,7 +2,8 @@
 
 Random small rational inputs go through both the library and the reference
 searches in ``polyhedral_oracle``; every description (vertices or rays,
-inequalities, equations) must come out identical.
+inequalities, equations) must come out identical.  ``is_face_of`` is checked
+against the enumerated face lattice, ``face_vertex_sets``.
 """
 
 from fractions import Fraction
@@ -91,3 +92,28 @@ def test_intersect_polytopes_matches_oracle(case, data):
         assert mine is None
     else:
         assert _polytope_parts(mine) == _polytope_parts(reference)
+
+
+@EXAMPLES
+@given(vector_lists(coordinate, (1, 3), 4, 8), st.data())
+def test_is_face_of_matches_face_lattice(case, data):
+    # the facet-closure face test against the enumerated face lattice, on
+    # random vertex subsets (mostly not faces), on a face, and on each of
+    # these with a foreign point added
+    d, points = case
+    p = convex_hull(points)
+    faces = p.face_vertex_sets()
+    n = len(p.vertices)
+    subset = st.sets(st.integers(0, n - 1), min_size=min(2, n))
+    subsets = data.draw(st.lists(subset, min_size=3, max_size=3))
+    subsets.append(data.draw(st.sampled_from(sorted(sorted(f) for f in faces))))
+    extra = data.draw(st.tuples(*[coordinate] * d))
+    where = {v: i for i, v in enumerate(p.vertices)}
+    for index in subsets:
+        for added in ([], [extra]):
+            s = convex_hull([p.vertices[i] for i in index] + added)
+            expected = (
+                all(v in where for v in s.vertices)
+                and frozenset(where[v] for v in s.vertices) in faces
+            )
+            assert s.is_face_of(p) == expected
