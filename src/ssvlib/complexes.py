@@ -57,7 +57,7 @@ class AutData:
 class Cell:
     """One cell: moment polytope plus its graded weight group."""
 
-    __slots__ = ("id", "polytope", "weight_group", "aut")
+    __slots__ = ("id", "polytope", "weight_group", "aut", "_cone")
 
     def __init__(self, cell_id, polytope, weight_group, aut=None):
         if weight_group.ambient_rank != polytope.ambient_rank + 1:
@@ -66,6 +66,7 @@ class Cell:
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "weight_group", weight_group)
         object.__setattr__(self, "aut", aut)
+        object.__setattr__(self, "_cone", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cell is immutable")
@@ -74,7 +75,10 @@ class Cell:
         return f"Cell({self.id!r}, vertices={list(self.polytope.vertices)})"
 
     def cone(self):
-        return cone_over(self.polytope)
+        """The cone over the polytope, built on first use (cells are immutable)."""
+        if self._cone is None:
+            object.__setattr__(self, "_cone", cone_over(self.polytope))
+        return self._cone
 
     def span_matches_weight_group(self):
         """Rational span of the cone equals the span of the weight group."""
@@ -536,7 +540,7 @@ def complete_faces(complex_, full=True):
     for face in fresh:
         while f"face{k}" in taken:
             k += 1
-        group = complex_.gamma.intersect_subspace(cone_over(face).rays)
+        group = complex_.gamma.intersect_subspace([(1,) + v for v in face.vertices])
         new_cells.append(Cell(f"face{k}", face, group))
         taken.add(f"face{k}")
     return SSVComplex(complex_.rank, complex_.gamma, new_cells, complex_.maximal_ids)

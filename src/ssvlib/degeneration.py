@@ -236,7 +236,9 @@ def regular_subdivision(polytope, points, heights):
     set (equivalently the linearity domains of the lower envelope); all
     heights affinely dependent yields the trivial subdivision.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    # one Fraction object per coordinate value, shared by the cells' vertices
+    rational = {x: Fraction(x) for p in points for x in p}
+    pts = [tuple(rational[x] for x in p) for p in points]
     hts = [Fraction(h) for h in heights]
     if len(pts) != len(hts):
         raise ValueError("points and heights must have equal lengths")
@@ -249,29 +251,17 @@ def regular_subdivision(polytope, points, heights):
     if not set(polytope.vertices) <= set(pts):
         raise DegenerateLiftError("lift points must span the polytope")
     frame = _AffineFrame(sorted(pts))
-    reduced = [frame.coords(p) for p in sorted(pts)]
-    by_coord = dict(zip(sorted(pts), reduced))
-    lifted = [by_coord[p] + (h,) for p, h in zip(pts, hts)]
-    k = len(reduced[0]) if reduced else 0
+    # lifted hull vertices are lifted points, so each frame coordinate is known
+    inverse = {frame.coords(p): p for p in pts}
+    lifted = [t + (h,) for t, h in zip(inverse, hts)]
     hull = convex_hull(lifted, dimension_cap=DIMENSION_CAP + 1)
-    if hull.dim < k + 1:
+    if hull.dim < frame.dim + 1:
         return [polytope]
     cells = []
-    inverse = {coord: p for p, coord in by_coord.items()}
-    for n, c in hull.inequalities:
+    for (n, _), facet in zip(hull.inequalities, hull.facet_vertex_sets()):
         if n[-1] <= 0:
             continue  # inward normal points up exactly on lower facets
-        facet_pts = [
-            v for v in hull.vertices if vec_dot(n, v) == c
-        ]
-        ambient_pts = []
-        for v in facet_pts:
-            coord = v[:-1]
-            base = inverse.get(coord)
-            if base is None:
-                base = frame.point(coord)
-            ambient_pts.append(base)
-        cells.append(convex_hull(ambient_pts))
+        cells.append(convex_hull([inverse[hull.vertices[i][:-1]] for i in facet]))
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
 
@@ -294,7 +284,7 @@ def special_fiber_complex(gamma, polytope, points, heights):
     rank = polytope.ambient_rank
     wrapped = []
     for i, cell in enumerate(cells):
-        group = gamma.intersect_subspace(cone_over(cell).rays)
+        group = gamma.intersect_subspace([(1,) + v for v in cell.vertices])
         wrapped.append(Cell(f"c{i}", cell, group))
     base = SSVComplex(rank, gamma, wrapped, tuple(c.id for c in wrapped))
     return complete_faces(base, full=True)

@@ -5,7 +5,7 @@ or fractions.Fraction -- never floats.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def vec_sub(u, v):
@@ -21,17 +21,9 @@ def primitive(v):
 
     Orientation is preserved: rays and facet normals are oriented objects.
     """
-    if all(x == 0 for x in v):
-        return tuple(0 for _ in v)
-    fracs = [Fraction(x) for x in v]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in ints)
+    ints = clear_denominators(v)
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else ints
 
 
 def canonical_direction(v):
@@ -49,11 +41,8 @@ def canonical_direction(v):
 
 def clear_denominators(v):
     """Scale a rational vector by the positive lcm of denominators."""
-    fracs = [Fraction(x) for x in v]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return tuple(int(f * denom) for f in fracs)
+    denom = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (denom // x.denominator) for x in v)
 
 
 def mat_identity(n):
@@ -100,65 +89,66 @@ def mat_det(m):
 
 
 def mat_rank(m):
-    if not m:
-        return 0
-    rows = [list(map(Fraction, row)) for row in m]
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c] * inv
-                for k in range(c, ncols):
-                    rows[r][k] -= f * rows[rank][k]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(integer_rref([clear_denominators(row) for row in m])[1])
 
 
-def rational_rref(m):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(map(Fraction, row)) for row in m]
+def integer_rref(m):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Returns (rows, pivot_columns) with the pivot columns of the rational
+    reduced row echelon form and rows equal to that form times the last
+    pivot D, one value on every pivot.  Every entry is a minor of the input,
+    so each step divides exactly by the previous pivot.
+    """
+    rows = [list(row) for row in m]
     ncols = len(rows[0]) if rows else 0
     pivots = []
-    rank = 0
+    prev = 1
     for c in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        p = top[c]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if r != rank and (f != 0 or p != prev):
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        rank += 1
-    return [tuple(row) for row in rows[:rank]], pivots
+        if len(pivots) == len(rows):
+            break  # every row holds a pivot and is fully reduced
+    return rows[: len(pivots)], pivots
+
+
+def rref_nullspace(rows, pivots, width):
+    """Integer nullspace basis of a matrix from its ``integer_rref`` output.
+
+    One vector per free column f: the pivot value at f, minus the rows'
+    column-f entries at their pivots (Cramer's rule).  For a (k - 1) x k
+    matrix of rank k - 1 this is, up to sign, its vector of signed maximal
+    minors.
+    """
+    out = []
+    for f in range(width):
+        if f not in pivots:
+            w = [0] * width
+            w[f] = rows[0][pivots[0]] if rows else 1
+            for row, p in zip(rows, pivots):
+                w[p] = -row[f]
+            out.append(tuple(w))
+    return out
 
 
 def rational_nullspace(m):
     """Basis of the right nullspace {x : m x = 0} over the rationals."""
     if not m:
         return []
-    ncols = len(m[0])
-    rows, pivots = rational_rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    rows, pivots = integer_rref([clear_denominators(row) for row in m])
+    d = rows[0][pivots[0]] if rows else 1
+    return [tuple(Fraction(x, d) for x in w) for w in rref_nullspace(rows, pivots, len(m[0]))]
 
 
 def solve_rational(m, b):
@@ -166,13 +156,13 @@ def solve_rational(m, b):
     if not m:
         return () if all(x == 0 for x in b) else None
     ncols = len(m[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(m, b)]
-    rows, pivots = rational_rref(aug)
+    aug = [clear_denominators(tuple(row) + (bi,)) for row, bi in zip(m, b)]
+    rows, pivots = integer_rref(aug)
     sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
+    for row, pc in zip(rows, pivots):
         if pc == ncols:
             return None
-        sol[pc] = rows[r][ncols]
+        sol[pc] = Fraction(row[ncols], row[pc])
     return tuple(sol)
 
 

@@ -6,29 +6,30 @@ Every conversion between the two runs through one kernel,
 primitive normals n with n.v >= 0 on every vector and n.v == 0 on k - 1
 independent ones.  These are the facet normals of the cone the vectors
 generate and, by cone duality, the extreme rays of the cone the vectors cut
-out as inequalities.  A polytope's hull is the facet search on the
-homogenized points (1, t); its vertices from halfspaces are the rays of the
-homogenized constraint cone.  The search is combinatorial in the input size,
-which is fine under the ambient dimension cap (6) and the small example
-sizes this library targets.
+out as inequalities; the kernel finds them by double description.  A hull
+is integer from input to output: the points, homogenized once to integer
+vectors (1, p), are restricted to the pivot columns of their fraction-free
+echelon form, and a point is a vertex exactly when the facets through it
+meet in it alone (extreme rays of a pointed cone likewise).  Vertices from
+halfspaces are the rays of the homogenized constraint cone.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DimensionError, NotPointedError
 from .lattice import Lattice, integer_kernel, smith_normal_form, solve_integer
 from .linalg import (
     canonical_direction,
     clear_denominators,
+    integer_rref,
     mat_inverse_unimodular,
     mat_rank,
     primitive,
     rational_nullspace,
-    rational_rref,
+    rref_nullspace,
     solve_rational,
     vec_dot,
     vec_sub,
@@ -55,64 +56,56 @@ def _combine(base, coeffs, directions):
     return tuple(point)
 
 
-def _norm_constraint(normal, offset):
-    """Canonical integer form of normal . x >= offset (or == offset)."""
-    vec = clear_denominators(tuple(normal) + (offset,))
-    g = 0
-    for a in vec:
-        g = gcd(g, abs(a))
-    if g > 1:
-        vec = tuple(a // g for a in vec)
-    return vec[:-1], vec[-1]
+def _kernel_line(rows):
+    """Primitive kernel line of a (k - 1) x k integer matrix; None if rank < k - 1."""
+    reduced, pivots = integer_rref(rows)
+    if len(pivots) != len(rows[0]) - 1:
+        return None
+    return primitive(rref_nullspace(reduced, pivots, len(rows[0]))[0])
+
+
+def _scatter(values, columns, width):
+    """The integer vector with values[i] at columns[i] and zeros elsewhere."""
+    at = dict(zip(columns, values))
+    return tuple(at.get(c, 0) for c in range(width))
+
+
+def _closure(mask, tight_sets, count):
+    """The meet of the facet tight sets containing ``mask``.
+
+    Sets are bitmasks over ``count`` distinct points (or primitive rays of a
+    cone), and the meet of none is all of them.  Each face is the meet of the
+    facets containing it, so a set is a face exactly when it is its closure:
+    {i} for a vertex (an extreme ray), the empty set for a pointed cone.
+    """
+    meet = (1 << count) - 1
+    for t in tight_sets:
+        if t & mask == mask:
+            meet &= t
+    return meet
 
 
 class _AffineFrame:
-    """Exact coordinates on the affine hull of a point set."""
+    """Integer pivot frame of the affine hull of rational points.
+
+    ``rows`` are the points p as integer vectors (1, p), their ``integer_rref``
+    pivot columns are coordinates on their span, and ``kernel`` holds the
+    linear forms vanishing on it.
+    """
 
     def __init__(self, points):
         self.base = points[0]
-        diffs = [vec_sub(p, self.base) for p in points[1:]]
-        rows, pivots = rational_rref(diffs) if diffs else ([], [])
-        self.directions = rows  # rref basis of the direction space
-        self.pivots = pivots
-        self.dim = len(rows)
+        self.rows = [clear_denominators((1,) + tuple(p)) for p in points]
+        reduced, self.pivots = integer_rref(self.rows)
+        self.kernel = rref_nullspace(reduced, self.pivots, len(self.rows[0]))
+        self.dim = len(self.pivots) - 1
 
     def coords(self, point):
-        """Coordinates of a point in the frame; None if off the hull."""
-        diff = vec_sub(point, self.base)
-        t = tuple(Fraction(diff[p]) for p in self.pivots)
-        check = list(diff)
-        for ti, d in zip(t, self.directions):
-            for k in range(len(check)):
-                check[k] -= ti * d[k]
-        if any(x != 0 for x in check):
+        """Coordinates (x - base)[c - 1] over pivots c > 0; None if off the hull."""
+        h = clear_denominators((1,) + tuple(point))
+        if any(vec_dot(w, h) != 0 for w in self.kernel):
             return None
-        return t
-
-    def hull_equations(self):
-        """Integer equations (n, c) with n.x == c cutting out the hull."""
-        eqs = []
-        for n in _nullspace(self.directions, len(self.base)):
-            nn = canonical_direction(n)
-            eqs.append((nn, vec_dot(nn, self.base)))
-        return sorted(eqs)
-
-    def pull_constraint(self, normal, offset):
-        """Ambient constraint restricting to normal.t >= offset on the hull.
-
-        In the rref frame, coordinate i of a hull point x is
-        (x - base)[pivots[i]].
-        """
-        amb = [Fraction(0)] * len(self.base)
-        c = Fraction(offset)
-        for ni, p in zip(normal, self.pivots):
-            amb[p] += ni
-            c += ni * Fraction(self.base[p])
-        return _norm_constraint(amb, c)
-
-    def point(self, coords):
-        """The hull point with the given frame coordinates."""
-        return _combine(self.base, coords, self.directions)
+        return tuple(Fraction(point[c - 1] - self.base[c - 1]) for c in self.pivots[1:])
 
 
 def _supporting_normals(vectors, k):
@@ -121,30 +114,48 @@ def _supporting_normals(vectors, k):
     A normal n is kept when n.v >= 0 for every vector, n.v > 0 for some, and
     n is the kernel line of k - 1 of the vectors.  For vectors spanning Q^k
     these are the facet normals of the cone they generate, and equally the
-    extreme rays of the cone {x : v.x >= 0 for every vector v}.
+    extreme rays of the cone {x : v.x >= 0 for every vector v}; for vectors
+    that do not span there are none.
+
+    Double description (Fukuda & Prodon 1996): k independent vectors cut out
+    a simplicial cone whose rays are the signed kernel lines of each k - 1
+    of them.  Each further vector v keeps the rays r with v.r >= 0 and adds
+    (v.p) n - (v.n) p for each adjacent pair with v.p > 0 > v.n; two rays
+    are adjacent when no third ray is tight on every vector both are.
     """
-    vectors = set(vectors)
-    normals = set()
-    for combo in itertools.combinations(vectors, k - 1):
-        if k == 1:
-            line = (1,)
-        else:
-            kernel = integer_kernel(combo)
-            if len(kernel) != 1:
-                continue
-            line = kernel[0]
-        above = below = False
-        for v in vectors:
-            val = vec_dot(line, v)
+    vectors = sorted({tuple(v) for v in vectors if any(x != 0 for x in v)})
+    _, basis = integer_rref(list(zip(*vectors)))  # the first independent vectors
+    if len(basis) < k:
+        return set()
+    rays = {}
+    for j in basis:
+        line = _kernel_line([vectors[i] for i in basis if i != j]) if k > 1 else (1,)
+        if vec_dot(line, vectors[j]) < 0:
+            line = tuple(-x for x in line)
+        rays[line] = sum(1 << i for i in basis if i != j)
+    for i, v in enumerate(vectors):
+        if i in basis:
+            continue
+        kept, above, below = {}, [], []
+        for r, tight in rays.items():
+            val = vec_dot(v, r)
             if val > 0:
-                above = True
+                kept[r] = tight
+                above.append((r, tight, val))
             elif val < 0:
-                below = True
-            if above and below:
-                break
-        if above != below:
-            normals.add(line if above else tuple(-x for x in line))
-    return normals
+                below.append((r, tight, val))
+            else:
+                kept[r] = tight | 1 << i
+        for p, tp, vp in above:
+            for n, tn, vn in below:
+                common = tp & tn
+                if common.bit_count() >= k - 2 and (
+                    sum(1 for t in rays.values() if t & common == common) == 2
+                ):
+                    w = primitive(tuple(vp * b - vn * a for a, b in zip(p, n)))
+                    kept[w] = common | 1 << i
+        rays = kept
+    return set(rays)
 
 
 class Polytope:
@@ -152,17 +163,21 @@ class Polytope:
 
     ``inequalities`` are the facet-defining halfspaces (normal . x >= offset)
     and ``equations`` cut out the affine hull; together they describe the
-    polytope exactly.  Vertices are exactly the extreme points.
+    polytope exactly.  Vertices are exactly the extreme points; each
+    inequality's vertex indices are kept as a bitmask (``facet_vertex_sets``).
     """
 
-    __slots__ = ("ambient_rank", "vertices", "inequalities", "equations", "_dim")
+    __slots__ = (
+        "ambient_rank", "vertices", "inequalities", "equations", "_dim", "_facet_masks"
+    )
 
-    def __init__(self, ambient_rank, vertices, inequalities, equations, dim):
+    def __init__(self, ambient_rank, vertices, inequalities, equations, dim, facet_masks):
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "inequalities", inequalities)
         object.__setattr__(self, "equations", equations)
         object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_facet_masks", facet_masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -194,13 +209,16 @@ class Polytope:
         return f"Polytope({self.ambient_rank}, vertices={list(self.vertices)})"
 
     def contains_point(self, point):
-        return all(vec_dot(n, point) == c for n, c in self.equations) and all(
-            vec_dot(n, point) >= c for n, c in self.inequalities
+        # on the integer multiple (s, s x) of (1, x): n . x >= c iff n . sx >= c s
+        s, *x = clear_denominators((1,) + tuple(point))
+        return all(vec_dot(n, x) == c * s for n, c in self.equations) and all(
+            vec_dot(n, x) >= c * s for n, c in self.inequalities
         )
 
     def relint_contains(self, point):
-        return all(vec_dot(n, point) == c for n, c in self.equations) and all(
-            vec_dot(n, point) > c for n, c in self.inequalities
+        s, *x = clear_denominators((1,) + tuple(point))
+        return all(vec_dot(n, x) == c * s for n, c in self.equations) and all(
+            vec_dot(n, x) > c * s for n, c in self.inequalities
         )
 
     def contains_polytope(self, other):
@@ -217,10 +235,9 @@ class Polytope:
         return all(Fraction(x).denominator == 1 for v in self.vertices for x in v)
 
     def facet_vertex_sets(self):
-        return [
-            frozenset(i for i, v in enumerate(self.vertices) if vec_dot(n, v) == c)
-            for n, c in self.inequalities
-        ]
+        """Vertex-index sets of the facets, in the order of ``inequalities``."""
+        n = len(self.vertices)
+        return [frozenset(i for i in range(n) if m >> i & 1) for m in self._facet_masks]
 
     def face_vertex_sets(self):
         """All nonempty faces as vertex-index sets (including the body)."""
@@ -254,12 +271,8 @@ class Polytope:
         index = {v: i for i, v in enumerate(other.vertices)}
         if any(v not in index for v in self.vertices):
             return False
-        mine = frozenset(index[v] for v in self.vertices)
-        meet = frozenset(index.values())
-        for f in other.facet_vertex_sets():
-            if mine <= f:
-                meet &= f
-        return mine == meet
+        mine = sum(1 << index[v] for v in self.vertices)
+        return _closure(mine, other._facet_masks, len(index)) == mine
 
     def scaled(self, factor):
         """The dilate factor * P for a positive rational factor."""
@@ -307,26 +320,34 @@ def convex_hull(points, dimension_cap=DIMENSION_CAP):
     ambient = len(points[0])
     if ambient > dimension_cap:
         raise DimensionError(f"ambient rank {ambient} exceeds the cap {dimension_cap}")
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    # points that are Fraction tuples already are kept: cells share vertices
+    pts = sorted({p if all(type(x) is Fraction for x in p) else tuple(map(Fraction, p))
+                  for p in map(tuple, points)})
     frame = _AffineFrame(pts)
-    coords = [frame.coords(p) for p in pts]
-    if frame.dim == 0:
-        facets_red = []
-        vertices = tuple(pts)
-    else:
-        # facet (a0, a) of the cone over the points is a . t >= -a0
-        homogenized = [clear_denominators((1,) + t) for t in coords]
-        facets_red = [
-            (n[1:], -n[0]) for n in _supporting_normals(homogenized, frame.dim + 1)
-        ]
-        vertices = tuple(
-            pts[i]
-            for i, t in enumerate(coords)
-            if mat_rank([n for n, c in facets_red if vec_dot(n, t) == c]) == frame.dim
-        )
-    inequalities = tuple(sorted(frame.pull_constraint(n, c) for n, c in facets_red))
-    equations = tuple(frame.hull_equations())
-    return Polytope(ambient, vertices, inequalities, equations, frame.dim)
+    cone = [tuple(h[c] for c in frame.pivots) for h in frame.rows]
+    # facet (a0, a) of the cone over the points is a . x >= -a0
+    facets = []
+    for n in _supporting_normals(cone, frame.dim + 1) if frame.dim else ():
+        amb = _scatter(n, frame.pivots, ambient + 1)
+        tight = sum(1 << i for i, h in enumerate(cone) if vec_dot(n, h) == 0)
+        facets.append(((amb[1:], -amb[0]), tight))
+    facets.sort()
+    masks = [t for _, t in facets]
+    extreme = [i for i in range(len(pts)) if _closure(1 << i, masks, len(pts)) == 1 << i]
+    index = {i: j for j, i in enumerate(extreme)}
+    facet_masks = tuple(sum(1 << j for i, j in index.items() if t >> i & 1) for _, t in facets)
+    equations = []
+    for w in frame.kernel:
+        n = canonical_direction(w[1:])
+        equations.append((n, vec_dot(n, pts[0])))
+    return Polytope(
+        ambient,
+        tuple(pts[i] for i in extreme),
+        tuple(h for h, _ in facets),
+        tuple(sorted(equations)),
+        frame.dim,
+        facet_masks,
+    )
 
 
 def from_halfspaces(ambient_rank, inequalities, equations=()):
@@ -475,35 +496,28 @@ class Cone:
                 for i in range(ambient_rank)
             )
             return cls(ambient_rank, (), (), eqs)
-        rows, pivots = rational_rref(prim)
-        k = len(rows)
+        reduced, pivots = integer_rref(prim)
         coords = [tuple(r[p] for p in pivots) for r in prim]
-        facets_red = _supporting_normals(coords, k)
-        pointed = bool(facets_red) and mat_rank(sorted(facets_red)) == k
-        ineqs = tuple(
-            sorted(_pull_linear(n, pivots, ambient_rank) for n in facets_red)
-        )
-        eqs = tuple(sorted(canonical_direction(n) for n in _nullspace(prim, ambient_rank)))
-        if pointed and k > 0:
-            extreme = [
-                prim[i]
-                for i, t in enumerate(coords)
-                if mat_rank([n for n in facets_red if vec_dot(n, t) == 0]) >= k - 1
-            ]
-        elif _canonicalize and k > 0:
+        facets_red = _supporting_normals(coords, len(pivots))
+        tight = [
+            sum(1 << i for i, t in enumerate(coords) if vec_dot(n, t) == 0)
+            for n in facets_red
+        ]
+        ineqs = tuple(sorted(_scatter(n, pivots, ambient_rank) for n in facets_red))
+        kernel = rref_nullspace(reduced, pivots, ambient_rank)
+        eqs = tuple(sorted(canonical_direction(w) for w in kernel))
+        # pointed exactly when no generator lies on every facet: a nonzero
+        # lineality space is a face, generated by the generators in it
+        n = len(prim)
+        if tight and not _closure(0, tight, n):
+            extreme = [prim[i] for i in range(n) if _closure(1 << i, tight, n) == 1 << i]
+        elif _canonicalize:
             # canonical generators for a cone with lineality: reconstruct
             # from the (complete) halfspace description
             extreme = cone_from_halfspaces(ambient_rank, ineqs, eqs).rays
         else:
             extreme = prim
         return cls(ambient_rank, tuple(sorted(extreme)), ineqs, eqs)
-
-
-def _pull_linear(normal, pivots, ambient_rank):
-    amb = [Fraction(0)] * ambient_rank
-    for ni, p in zip(normal, pivots):
-        amb[p] += ni
-    return primitive(amb)
 
 
 def cone_from_halfspaces(ambient_rank, inequality_normals, equation_normals=()):

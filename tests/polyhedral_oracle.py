@@ -4,32 +4,209 @@ These are the library's earlier conversions, one C(n, k) search per
 direction, kept unchanged as an independent oracle for the single
 ``_supporting_normals`` kernel that replaced them.  Each search solves a
 rational nullspace or linear system per subset, so only small inputs are
-practical.
+practical.  ``supporting_normals`` is that kernel's own earlier exhaustive
+search over (k - 1)-subsets, the oracle for its double description, and
+``_AffineFrame`` the earlier rational reduced-row-echelon frame.  The
+elimination here is the earlier Fraction Gaussian elimination, independent
+of the library's fraction-free ``integer_rref``.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from ssvlib.errors import DimensionError
+from ssvlib.lattice import integer_kernel
 from ssvlib.linalg import (
     canonical_direction,
+    clear_denominators,
     mat_det,
-    mat_rank,
     primitive,
-    rational_rref,
-    solve_rational,
     vec_dot,
     vec_sub,
 )
-from ssvlib.polyhedral import (
-    DIMENSION_CAP,
-    Cone,
-    Polytope,
-    _AffineFrame,
-    _norm_constraint,
-    _nullspace,
-    _pull_linear,
-)
+from ssvlib.polyhedral import DIMENSION_CAP, Cone, Polytope
+
+
+def mat_rank(m):
+    if not m:
+        return 0
+    rows = [list(map(Fraction, row)) for row in m]
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c] * inv
+                for k in range(c, ncols):
+                    rows[r][k] -= f * rows[rank][k]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def rational_rref(m):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    rows = [list(map(Fraction, row)) for row in m]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(c)
+        rank += 1
+    return [tuple(row) for row in rows[:rank]], pivots
+
+
+def rational_nullspace(m):
+    """Basis of the right nullspace {x : m x = 0} over the rationals."""
+    if not m:
+        return []
+    ncols = len(m[0])
+    rows, pivots = rational_rref(m)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_rational(m, b):
+    """One solution of m x = b over the rationals, or None."""
+    if not m:
+        return () if all(x == 0 for x in b) else None
+    ncols = len(m[0])
+    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(m, b)]
+    rows, pivots = rational_rref(aug)
+    sol = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        sol[pc] = rows[r][ncols]
+    return tuple(sol)
+
+
+def _nullspace(rows, ncols):
+    if not rows:
+        return [
+            tuple(Fraction(1 if i == j else 0) for j in range(ncols))
+            for i in range(ncols)
+        ]
+    return rational_nullspace(rows)
+
+
+def supporting_normals(vectors, k):
+    """Primitive normals of the hyperplanes supporting integer vectors in Z^k.
+
+    A normal n is kept when n.v >= 0 for every vector, n.v > 0 for some, and
+    n is the kernel line of k - 1 of the vectors.  For vectors spanning Q^k
+    these are the facet normals of the cone they generate, and equally the
+    extreme rays of the cone {x : v.x >= 0 for every vector v}.
+    """
+    vectors = set(vectors)
+    normals = set()
+    for combo in itertools.combinations(vectors, k - 1):
+        if k == 1:
+            line = (1,)
+        else:
+            kernel = integer_kernel(combo)
+            if len(kernel) != 1:
+                continue
+            line = kernel[0]
+        above = below = False
+        for v in vectors:
+            val = vec_dot(line, v)
+            if val > 0:
+                above = True
+            elif val < 0:
+                below = True
+            if above and below:
+                break
+        if above != below:
+            normals.add(line if above else tuple(-x for x in line))
+    return normals
+
+
+def _norm_constraint(normal, offset):
+    """Canonical integer form of normal . x >= offset (or == offset)."""
+    vec = clear_denominators(tuple(normal) + (offset,))
+    g = 0
+    for a in vec:
+        g = gcd(g, abs(a))
+    if g > 1:
+        vec = tuple(a // g for a in vec)
+    return vec[:-1], vec[-1]
+
+
+class _AffineFrame:
+    """Exact coordinates on the affine hull of a point set."""
+
+    def __init__(self, points):
+        self.base = points[0]
+        diffs = [vec_sub(p, self.base) for p in points[1:]]
+        rows, pivots = rational_rref(diffs) if diffs else ([], [])
+        self.directions = rows  # rref basis of the direction space
+        self.pivots = pivots
+        self.dim = len(rows)
+
+    def coords(self, point):
+        """Coordinates of a point in the frame; None if off the hull."""
+        diff = vec_sub(point, self.base)
+        t = tuple(Fraction(diff[p]) for p in self.pivots)
+        check = list(diff)
+        for ti, d in zip(t, self.directions):
+            for k in range(len(check)):
+                check[k] -= ti * d[k]
+        if any(x != 0 for x in check):
+            return None
+        return t
+
+    def hull_equations(self):
+        """Integer equations (n, c) with n.x == c cutting out the hull."""
+        eqs = []
+        for n in _nullspace(self.directions, len(self.base)):
+            nn = canonical_direction(n)
+            eqs.append((nn, vec_dot(nn, self.base)))
+        return sorted(eqs)
+
+    def pull_constraint(self, normal, offset):
+        """Ambient constraint restricting to normal.t >= offset on the hull.
+
+        In the rref frame, coordinate i of a hull point x is
+        (x - base)[pivots[i]].
+        """
+        amb = [Fraction(0)] * len(self.base)
+        c = Fraction(offset)
+        for ni, p in zip(normal, self.pivots):
+            amb[p] += ni
+            c += ni * Fraction(self.base[p])
+        return _norm_constraint(amb, c)
+
+
+def _pull_linear(normal, pivots, ambient_rank):
+    amb = [Fraction(0)] * ambient_rank
+    for ni, p in zip(normal, pivots):
+        amb[p] += ni
+    return primitive(amb)
 
 
 def _facets_from_points(coords, dim):
@@ -85,7 +262,11 @@ def convex_hull(points, dimension_cap=DIMENSION_CAP):
         )
     inequalities = tuple(sorted(frame.pull_constraint(n, c) for n, c in facets_red))
     equations = tuple(frame.hull_equations())
-    return Polytope(ambient, vertices, inequalities, equations, frame.dim)
+    facet_masks = tuple(
+        sum(1 << i for i, v in enumerate(vertices) if vec_dot(n, v) == c)
+        for n, c in inequalities
+    )
+    return Polytope(ambient, vertices, inequalities, equations, frame.dim, facet_masks)
 
 
 def from_halfspaces(ambient_rank, inequalities, equations=()):

@@ -3,7 +3,9 @@
 Random small rational inputs go through both the library and the reference
 searches in ``polyhedral_oracle``; every description (vertices or rays,
 inequalities, equations) must come out identical.  ``is_face_of`` is checked
-against the enumerated face lattice, ``face_vertex_sets``.
+against the enumerated face lattice, ``face_vertex_sets``.  The kernel itself,
+double description, is compared with the exhaustive search it replaced, and
+its Bareiss kernel lines with the Smith-form ``integer_kernel``.
 """
 
 from fractions import Fraction
@@ -13,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssvlib.complexes import _volume_of_points
+from ssvlib.lattice import integer_kernel
+from ssvlib.linalg import integer_rref
 from ssvlib.polyhedral import (
     Cone,
+    _kernel_line,
+    _supporting_normals,
     cone_from_halfspaces,
     convex_hull,
     intersect_polytopes,
@@ -36,6 +42,66 @@ def vector_lists(entry, dims, min_size, max_size):
             st.tuples(*[entry] * d), min_size=min_size, max_size=max_size
         ).map(lambda vs: (d, vs))
     )
+
+
+def _combination(coeffs, generators, k):
+    return tuple(sum(c * g[i] for c, g in zip(coeffs, generators)) for i in range(k))
+
+
+@st.composite
+def spanned_vectors(draw, k, min_size, max_size):
+    """Integer vectors in Z^k, often spanning a proper subspace only."""
+    rank = draw(st.integers(0, k))
+    generators = draw(st.lists(st.tuples(*[integer] * k), min_size=rank, max_size=rank))
+    coeffs = st.tuples(*[st.integers(-2, 2)] * rank)
+    coeff_lists = st.lists(coeffs, min_size=min_size, max_size=max_size)
+    return [_combination(c, generators, k) for c in draw(coeff_lists)]
+
+
+@st.composite
+def normal_inputs(draw):
+    """(vectors, k) with zero, repeated and opposite vectors mixed in."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        vectors = draw(spanned_vectors(k, 0, 8))
+    else:
+        vectors = draw(st.lists(st.tuples(*[integer] * k), max_size=8))
+    if vectors:
+        picks = st.lists(st.sampled_from(vectors), max_size=2)
+        vectors += draw(picks)  # repeats
+        vectors += [tuple(-x for x in v) for v in draw(picks)]  # lines: not pointed
+    if draw(st.booleans()):
+        vectors.append((0,) * k)
+    return vectors, k
+
+
+@EXAMPLES
+@given(normal_inputs())
+def test_double_description_matches_exhaustive_search(case):
+    vectors, k = case
+    assert _supporting_normals(vectors, k) == oracle.supporting_normals(vectors, k)
+
+
+@EXAMPLES
+@given(st.integers(2, 6), st.booleans(), st.data())
+def test_bareiss_kernel_line_matches_integer_kernel(k, low_rank, data):
+    if low_rank:
+        rows = data.draw(spanned_vectors(k, k - 1, k - 1))
+    else:
+        rows = data.draw(st.lists(st.tuples(*[integer] * k), min_size=k - 1, max_size=k - 1))
+    kernel = integer_kernel(rows)
+    line = _kernel_line(rows)
+    if len(kernel) == 1:
+        assert line in (kernel[0], tuple(-x for x in kernel[0]))
+    else:
+        assert line is None
+    # the fraction-free form is the rational reduced form times its pivot
+    reduced, pivots = integer_rref(rows)
+    rref, rref_pivots = oracle.rational_rref(rows)
+    assert pivots == rref_pivots
+    if pivots:
+        d = reduced[0][pivots[0]]
+        assert [tuple(Fraction(x, d) for x in r) for r in reduced] == rref
 
 
 def _polytope_parts(p):
