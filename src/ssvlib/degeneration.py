@@ -236,9 +236,7 @@ def regular_subdivision(polytope, points, heights):
     set (equivalently the linearity domains of the lower envelope); all
     heights affinely dependent yields the trivial subdivision.
     """
-    # one Fraction object per coordinate value, shared by the cells' vertices
-    rational = {x: Fraction(x) for p in points for x in p}
-    pts = [tuple(rational[x] for x in p) for p in points]
+    pts = [tuple(Fraction(x) for x in p) for p in points]
     hts = [Fraction(h) for h in heights]
     if len(pts) != len(hts):
         raise ValueError("points and heights must have equal lengths")
@@ -251,9 +249,10 @@ def regular_subdivision(polytope, points, heights):
     if not set(polytope.vertices) <= set(pts):
         raise DegenerateLiftError("lift points must span the polytope")
     frame = _AffineFrame(sorted(pts))
+    coords = [frame.coords(p) for p in pts]
     # lifted hull vertices are lifted points, so each frame coordinate is known
-    inverse = {frame.coords(p): p for p in pts}
-    lifted = [t + (h,) for t, h in zip(inverse, hts)]
+    inverse = dict(zip(coords, pts))
+    lifted = [t + (h,) for t, h in zip(coords, hts)]
     hull = convex_hull(lifted, dimension_cap=DIMENSION_CAP + 1)
     if hull.dim < frame.dim + 1:
         return [polytope]

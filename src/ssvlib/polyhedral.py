@@ -320,9 +320,7 @@ def convex_hull(points, dimension_cap=DIMENSION_CAP):
     ambient = len(points[0])
     if ambient > dimension_cap:
         raise DimensionError(f"ambient rank {ambient} exceeds the cap {dimension_cap}")
-    # points that are Fraction tuples already are kept: cells share vertices
-    pts = sorted({p if all(type(x) is Fraction for x in p) else tuple(map(Fraction, p))
-                  for p in map(tuple, points)})
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
     frame = _AffineFrame(pts)
     cone = [tuple(h[c] for c in frame.pivots) for h in frame.rows]
     # facet (a0, a) of the cone over the points is a . x >= -a0

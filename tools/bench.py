@@ -3,16 +3,22 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench.py --label parent --root ../parent-checkout
+    python3 tools/bench.py --label change --root ../parent-checkout
     python3 tools/bench.py --label change
 
-For each workload and seed this runs ``python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0`` in the checkout given by ``--root`` (default:
-this one), one run at a time, and reads the JSON object on the last line of
-its output.  The file written here holds every run and, per workload, the
-median of each end-to-end metric, the Python version and ``nproc``.  perfbench
-itself is only invoked, never changed: its workloads, metrics, bounds and
-checks are the ones in the checkout that runs.
+For each workload perfbench declares and each seed in ``SEEDS`` this runs
+``python3 perfbench/run.py --workload W --seed S --trace 0``, one run at a
+time, with perfbench's own run length, and reads the JSON object on the last
+line of its output.  With ``--root`` every seed is a pair: the checkout given
+there and this one run directly after each other, the first of the pair
+alternating from seed to seed, so that both sides meet the same load on the
+host.  The runs of this checkout go to ``BENCH_<label>.json`` and, with
+``--root``, those of the other to ``BENCH_parent.json``, both at the root of
+this checkout.  Each file holds every run and, per workload, the median of
+each end-to-end metric, the Python version and ``nproc``; with ``--root``,
+``BENCH_<label>.json`` also counts, per metric, the pairs in which this
+checkout read lower and gives the quartiles of the parent's runs.  perfbench
+itself is only invoked, never changed.
 """
 
 import argparse
@@ -23,33 +29,28 @@ import statistics
 import subprocess
 import sys
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("moduli-enum", "toric-gluing", "cli-reports")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ten pairs: a claimed gain must hold in at least nine of them
+SEEDS = tuple(range(301, 311))
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import WORKLOADS  # noqa: E402
 
 
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout to measure")
-    parser.add_argument("--seeds", default="201,202,203", help="comma-separated, at least 3")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--out-dir", default=os.path.dirname(HERE))
+    parser.add_argument("--root", help="parent checkout, measured in pairs with this one")
     args = parser.parse_args(argv)
-    args.seeds = [int(s) for s in args.seeds.split(",")]
-    args.workloads = args.workloads.split(",")
-    if len(args.seeds) < 3:
-        parser.error("a median needs at least 3 seeds")
-    unknown = sorted(set(args.workloads) - set(WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workloads {unknown}")
+    if args.root and args.label == "parent":
+        parser.error("--label parent would overwrite the --root side")
     return args
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed):
     """One perfbench run: its final JSON object, or an incorrect stand-in."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -60,48 +61,83 @@ def run_once(root, workload, seed, seconds):
                 "exit_code": proc.returncode}
 
 
+def _values(runs, name):
+    return [run["metrics"][name]["value"] for run in runs if name in run["metrics"]]
+
+
 def summarize(runs):
     """Median of each metric over the runs that report it."""
     names = sorted({name for run in runs for name in run["metrics"]})
     return {
         name: {
-            "median": statistics.median(
-                run["metrics"][name]["value"] for run in runs if name in run["metrics"]
-            ),
+            "median": statistics.median(_values(runs, name)),
             "unit": next(run["metrics"][name]["unit"] for run in runs if name in run["metrics"]),
         }
         for name in names
     }
 
 
-def main(argv=None):
-    args = _parse(argv)
-    report = {
-        "label": args.label,
+def compare(runs, parent_runs):
+    """Per metric: pairs in which this checkout read lower, and parent quartiles."""
+    out = {}
+    for name in sorted({name for run in runs for name in run["metrics"]}):
+        pairs = [
+            (run["metrics"][name]["value"], other["metrics"][name]["value"])
+            for run, other in zip(runs, parent_runs)
+            if name in run["metrics"] and name in other["metrics"]
+        ]
+        q1, _, q3 = statistics.quantiles(_values(parent_runs, name), n=4)
+        out[name] = {"lower_in": sum(a < b for a, b in pairs), "pairs": len(pairs),
+                     "parent_q1": q1, "parent_q3": q3}
+    return out
+
+
+def _report(label, sides, name):
+    return {
+        "label": label,
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "seconds": args.seconds,
-        "seeds": args.seeds,
-        "workloads": {},
+        "seeds": list(SEEDS),
+        "workloads": {
+            workload: {"metrics": summarize(runs[name]), "runs": runs[name]}
+            for workload, runs in sides.items()
+        },
     }
-    all_ok = True
-    for workload in args.workloads:
-        runs = []
-        for seed in args.seeds:
-            run = run_once(args.root, workload, seed, args.seconds)
-            run["seed"] = seed
-            runs.append(run)
-            ok = run["correct"] and run["failed"] == 0
-            all_ok = all_ok and ok
-            wall = run["metrics"].get("wall_s", {}).get("value")
-            print(f"{workload} seed {seed}: correct={run['correct']} "
-                  f"failed={run['failed']} wall_s={wall}", flush=True)
-        report["workloads"][workload] = {"metrics": summarize(runs), "runs": runs}
-    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
+
+
+def _write(report):
+    path = os.path.join(ROOT, f"BENCH_{report['label']}.json")
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {path}")
+
+
+def main(argv=None):
+    args = _parse(argv)
+    roots = {"change": ROOT}
+    if args.root:
+        roots["parent"] = os.path.abspath(args.root)
+    sides = {}
+    all_ok = True
+    for workload in WORKLOADS:
+        sides[workload] = {name: [] for name in roots}
+        for pair, seed in enumerate(SEEDS):
+            order = list(roots) if pair % 2 else list(roots)[::-1]
+            for position, name in enumerate(order):
+                run = run_once(roots[name], workload, seed)
+                run.update(seed=seed, pair=pair, first=position == 0)
+                sides[workload][name].append(run)
+                all_ok = all_ok and run["correct"] and run["failed"] == 0
+                wall = run["metrics"].get("wall_s", {}).get("value")
+                print(f"{workload} seed {seed} {name}: correct={run['correct']} "
+                      f"failed={run['failed']} wall_s={wall}", flush=True)
+    report = _report(args.label, sides, "change")
+    if args.root:
+        for workload, runs in sides.items():
+            report["workloads"][workload]["pairs"] = compare(runs["change"], runs["parent"])
+        _write(_report("parent", sides, "parent"))
+    _write(report)
     return 0 if all_ok else 1
 
 
