@@ -446,10 +446,6 @@ def main(argv=None):
     except DocumentError as exc:
         sys.stderr.write(f"document error: {exc}\n")
         return 2
-    except ParamError as exc:
-        report = {"command": args.argv_echo, "error": str(exc)}
-        _emit(report, args)
-        return 1
     except SSVError as exc:
         report = {"command": args.argv_echo, "error": str(exc)}
         _emit(report, args)

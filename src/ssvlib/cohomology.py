@@ -121,13 +121,6 @@ class GluingComplex:
     d0_rows: tuple
     d1_rows: tuple
 
-    def term_invariants(self, level):
-        lv = (self.level0, self.level1, self.level2)[level]
-        out = []
-        for key, group in zip(lv.keys, lv.groups):
-            out.append((key, group.invariants()))
-        return out
-
 
 def _toric_group(cell):
     return DiagGroup(cell.weight_group.rank)

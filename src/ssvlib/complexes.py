@@ -19,9 +19,8 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice, is_direct_summand
-from .linalg import mat_det, solve_rational
+from .linalg import clear_denominators, integer_rref, mat_det, solve_rational
 from .polyhedral import (
-    _AffineFrame,
     _triangulate_rays,
     cone_over,
     convex_hull,
@@ -186,20 +185,12 @@ def singleton_complex(cell, gamma=None):
     return SSVComplex(cell.polytope.ambient_rank, gamma, (cell,), (cell.id,))
 
 
-def _frame_volume(frame, polytope):
-    """Volume of the polytope in the coordinates of the given frame."""
-    coords = [frame.coords(v) for v in polytope.vertices]
-    if any(c is None for c in coords):
-        return None
-    return _volume_of_points(coords)
-
-
 def _volume_of_points(points):
     """Exact d-dimensional volume of a full-dimensional hull in Q^d."""
     d = len(points[0]) if points else 0
     if d == 0:
         return Fraction(1)
-    hull = convex_hull(points, dimension_cap=16)
+    hull = convex_hull(points)
     if hull.dim < d:
         return Fraction(0)
     # |det| of a homogenized simplex is d! times its volume
@@ -223,15 +214,15 @@ def moment_set_is_convex(complex_):
     hull = convex_hull(all_vertices)
     if hull.dim != d:
         return False
-    frame = _AffineFrame(hull.vertices)
-    total = Fraction(0)
-    for c in maximal:
-        vol = _frame_volume(frame, c.polytope)
-        if vol is None:
-            return False
-        total += vol
-    hull_vol = _volume_of_points([frame.coords(v) for v in hull.vertices])
-    return total == hull_vol
+    # the pivot coordinates of the homogenized hull vertices are one affine
+    # bijection of the hull's span onto Q^d, for every cell alike
+    _, pivots = integer_rref([clear_denominators((1,) + v) for v in hull.vertices])
+
+    def volume(polytope):
+        coords = [tuple(v[c - 1] for c in pivots[1:]) for v in polytope.vertices]
+        return _volume_of_points(coords)
+
+    return sum(volume(c.polytope) for c in maximal) == volume(hull)
 
 
 def validate_complex(complex_):

@@ -14,12 +14,11 @@ from math import gcd
 
 from .complexes import Cell, SSVComplex, complete_faces
 from .errors import DegenerateLiftError, DomainError, NotReducedError
-from .linalg import primitive, solve_rational, vec_dot
+from .linalg import clear_denominators, primitive, solve_rational, vec_dot
 from .polyhedral import (
-    _AffineFrame,
+    _dual,
     AffineMonoid,
     Cone,
-    DIMENSION_CAP,
     cone_from_halfspaces,
     cone_over,
     convex_hull,
@@ -234,7 +233,10 @@ def regular_subdivision(polytope, points, heights):
 
     Cells are the projections of the lower-hull facets of the lifted point
     set (equivalently the linearity domains of the lower envelope); all
-    heights affinely dependent yields the trivial subdivision.
+    heights affinely dependent yields the trivial subdivision.  The lower
+    facets are the facets of the cone over the lifted points (1, p, h) whose
+    inward normal points up; heights affine on the points add a linear form
+    vanishing on that cone to the equations of the polytope.
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     hts = [Fraction(h) for h in heights]
@@ -248,19 +250,15 @@ def regular_subdivision(polytope, points, heights):
     # the points lie in the polytope: their hull is it iff they include its vertices
     if not set(polytope.vertices) <= set(pts):
         raise DegenerateLiftError("lift points must span the polytope")
-    frame = _AffineFrame(sorted(pts))
-    coords = [frame.coords(p) for p in pts]
-    # lifted hull vertices are lifted points, so each frame coordinate is known
-    inverse = dict(zip(coords, pts))
-    lifted = [t + (h,) for t, h in zip(coords, hts)]
-    hull = convex_hull(lifted, dimension_cap=DIMENSION_CAP + 1)
-    if hull.dim < frame.dim + 1:
+    lifted = [clear_denominators((1,) + p + (h,)) for p, h in zip(pts, hts)]
+    facets, kernel = _dual(lifted, polytope.ambient_rank + 2)
+    if len(kernel) > len(polytope.equations):
         return [polytope]
-    cells = []
-    for (n, _), facet in zip(hull.inequalities, hull.facet_vertex_sets()):
-        if n[-1] <= 0:
-            continue  # inward normal points up exactly on lower facets
-        cells.append(convex_hull([inverse[hull.vertices[i][:-1]] for i in facet]))
+    cells = [
+        convex_hull([p for i, p in enumerate(pts) if mask >> i & 1])
+        for n, mask in facets
+        if n[-1] > 0
+    ]
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
 

@@ -380,10 +380,6 @@ def saturation_and_index(sub, ambient):
     return Lattice(ambient.ambient_rank, gens), index
 
 
-def saturation(sub, ambient):
-    return saturation_and_index(sub, ambient)[0]
-
-
 def lattice_index(sub, ambient):
     """Index [ambient : sub]; None when infinite."""
     inv = quotient_invariants(sub, ambient)

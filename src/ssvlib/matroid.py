@@ -228,14 +228,17 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
                 return False
         return True
 
-    assignments = [
-        h
-        for h in itertools.product(range(cap + 1), repeat=len(points))
-        if canonical(h)
-    ]
-    if total > budget and len(assignments) > budget:
+    # one canonical assignment per orbit, and an orbit has at most |G| members
+    at_least = -(-total // max(len(point_perms), 1))
+    if at_least > budget:
         raise SearchBudgetError(
-            f"{len(assignments)} height assignments exceed the budget {budget}"
+            f"at least {at_least} height assignments up to symmetry exceed the budget {budget}"
+        )
+    grid = itertools.product(range(cap + 1), repeat=len(points))
+    assignments = list(itertools.islice(filter(canonical, grid), budget + 1))
+    if len(assignments) > budget:
+        raise SearchBudgetError(
+            f"more than {budget} height assignments up to symmetry exceed the budget"
         )
 
     found = {}

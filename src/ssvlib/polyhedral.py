@@ -2,16 +2,28 @@
 
 Polytopes and cones carry both a vertex/ray and a halfspace description.
 Every conversion between the two runs through one kernel,
-``_supporting_normals``: given integer vectors spanning Q^k, it returns the
-primitive normals n with n.v >= 0 on every vector and n.v == 0 on k - 1
-independent ones.  These are the facet normals of the cone the vectors
-generate and, by cone duality, the extreme rays of the cone the vectors cut
-out as inequalities; the kernel finds them by double description.  A hull
-is integer from input to output: the points, homogenized once to integer
-vectors (1, p), are restricted to the pivot columns of their fraction-free
-echelon form, and a point is a vertex exactly when the facets through it
-meet in it alone (extreme rays of a pointed cone likewise).  Vertices from
-halfspaces are the rays of the homogenized constraint cone.
+``_supporting_normals``: given integer vectors spanning Q^k, it returns, by
+double description, the primitive normals n with n.v >= 0 on every vector
+and n.v == 0 on k - 1 independent ones.  These are the facet normals of the
+cone the vectors generate and, by cone duality, the extreme rays of the cone
+they cut out as inequalities.  One set of cone routines on integer vectors
+sits between the kernel and every caller:
+
+- ``_dual`` restricts generators to the pivot columns of their fraction-free
+  echelon form, runs the kernel there and returns the facets (normal and
+  bitmask of the generators on it) with the linear forms vanishing on them;
+- ``_pointed_rays`` gives the extreme rays of the cone cut out by
+  inequalities and equations, none when that cone holds a line;
+- ``_generators`` splits off the lines of such a cone one at a time and adds
+  the extreme rays of what is left.
+
+A hull is the cone over its homogenized points (1, p): the facets of that
+cone are the facets of the polytope, and a point is a vertex exactly when
+the facets through it meet in it alone (extreme rays of a pointed cone
+likewise).  ``from_halfspaces`` homogenizes: the vertices of {n.x >= c} are
+the rays (s, s v), s > 0, of the cone -c s + n.x >= 0, s >= 0.
+``degeneration.regular_subdivision`` reads its cells off the lower facets of
+the cone over the lifted points (1, p, h).
 """
 
 import itertools
@@ -28,7 +40,6 @@ from .linalg import (
     mat_inverse_unimodular,
     mat_rank,
     primitive,
-    rational_nullspace,
     rref_nullspace,
     solve_rational,
     vec_dot,
@@ -38,36 +49,12 @@ from .linalg import (
 DIMENSION_CAP = 6
 
 
-def _nullspace(rows, ncols):
-    if not rows:
-        return [
-            tuple(Fraction(1 if i == j else 0) for j in range(ncols))
-            for i in range(ncols)
-        ]
-    return rational_nullspace(rows)
-
-
-def _combine(base, coeffs, directions):
-    """The point base + sum of coeffs[i] * directions[i]."""
-    point = list(base)
-    for t, d in zip(coeffs, directions):
-        for i in range(len(point)):
-            point[i] += t * d[i]
-    return tuple(point)
-
-
 def _kernel_line(rows):
     """Primitive kernel line of a (k - 1) x k integer matrix; None if rank < k - 1."""
     reduced, pivots = integer_rref(rows)
     if len(pivots) != len(rows[0]) - 1:
         return None
     return primitive(rref_nullspace(reduced, pivots, len(rows[0]))[0])
-
-
-def _scatter(values, columns, width):
-    """The integer vector with values[i] at columns[i] and zeros elsewhere."""
-    at = dict(zip(columns, values))
-    return tuple(at.get(c, 0) for c in range(width))
 
 
 def _closure(mask, tight_sets, count):
@@ -83,29 +70,6 @@ def _closure(mask, tight_sets, count):
         if t & mask == mask:
             meet &= t
     return meet
-
-
-class _AffineFrame:
-    """Integer pivot frame of the affine hull of rational points.
-
-    ``rows`` are the points p as integer vectors (1, p), their ``integer_rref``
-    pivot columns are coordinates on their span, and ``kernel`` holds the
-    linear forms vanishing on it.
-    """
-
-    def __init__(self, points):
-        self.base = points[0]
-        self.rows = [clear_denominators((1,) + tuple(p)) for p in points]
-        reduced, self.pivots = integer_rref(self.rows)
-        self.kernel = rref_nullspace(reduced, self.pivots, len(self.rows[0]))
-        self.dim = len(self.pivots) - 1
-
-    def coords(self, point):
-        """Coordinates (x - base)[c - 1] over pivots c > 0; None if off the hull."""
-        h = clear_denominators((1,) + tuple(point))
-        if any(vec_dot(w, h) != 0 for w in self.kernel):
-            return None
-        return tuple(Fraction(point[c - 1] - self.base[c - 1]) for c in self.pivots[1:])
 
 
 def _supporting_normals(vectors, k):
@@ -158,6 +122,59 @@ def _supporting_normals(vectors, k):
     return set(rays)
 
 
+def _dual(rows, width):
+    """Facets and kernel of the cone generated by nonzero integer rows in Z^width.
+
+    The rows are restricted to the pivot columns of their ``integer_rref``,
+    where they span.  Each facet comes back as (normal, mask): the kernel's
+    normal scattered to Z^width, and the bitmask of the rows on it; the
+    kernel holds the linear forms vanishing on every row.
+    """
+    reduced, pivots = integer_rref(rows)
+    coords = [tuple(r[c] for c in pivots) for r in rows]
+    facets = []
+    for n in _supporting_normals(coords, len(pivots)):
+        at = dict(zip(pivots, n))
+        mask = sum(1 << i for i, t in enumerate(coords) if vec_dot(n, t) == 0)
+        facets.append((tuple(at.get(c, 0) for c in range(width)), mask))
+    return sorted(facets), rref_nullspace(reduced, pivots, width)
+
+
+def _pointed_rays(ambient, ineqs, eqs):
+    """Extreme rays of {x in Q^ambient : e.x == 0, n.x >= 0}; none if it holds a line.
+
+    The kernel runs on the inequalities restricted to the integer nullspace
+    basis of the equations, and each ray is lifted back as the integer
+    combination of that basis.
+    """
+    reduced, pivots = integer_rref(eqs)
+    basis = rref_nullspace(reduced, pivots, ambient)
+    restricted = [tuple(vec_dot(n, b) for b in basis) for n in ineqs]
+    return [
+        primitive(tuple(vec_dot(r, column) for column in zip(*basis)))
+        for r in _supporting_normals(restricted, len(basis))
+    ]
+
+
+def _generators(ambient, ineqs, eqs):
+    """Generators of {x : e.x == 0, n.x >= 0}: both signs of its lines, then rays.
+
+    Each pass splits off one primitive line of the lineality space (the first
+    nullspace vector of all the constraints) by adding it as an equation; the
+    cone that is left is pointed.
+    """
+    eqs = list(eqs)
+    lines = []
+    while True:
+        reduced, pivots = integer_rref(list(ineqs) + eqs)
+        kernel = rref_nullspace(reduced, pivots, ambient)
+        if not kernel:
+            return lines + _pointed_rays(ambient, ineqs, eqs)
+        v = primitive(kernel[0])
+        lines += [v, tuple(-x for x in v)]
+        eqs.append(v)
+
+
 class Polytope:
     """A nonempty rational convex polytope with exact dual descriptions.
 
@@ -185,15 +202,6 @@ class Polytope:
     @property
     def dim(self):
         return self._dim
-
-    @property
-    def halfspaces(self):
-        """All constraints as inequalities (equations contribute both signs)."""
-        hs = list(self.inequalities)
-        for n, c in self.equations:
-            hs.append((n, c))
-            hs.append((tuple(-x for x in n), -c))
-        return tuple(hs)
 
     def __eq__(self, other):
         return (
@@ -230,9 +238,6 @@ class Polytope:
             sum(Fraction(v[i]) for v in self.vertices) / k
             for i in range(self.ambient_rank)
         )
-
-    def is_lattice_polytope(self):
-        return all(Fraction(x).denominator == 1 for v in self.vertices for x in v)
 
     def facet_vertex_sets(self):
         """Vertex-index sets of the facets, in the order of ``inequalities``."""
@@ -300,9 +305,6 @@ class FacePoset:
     def __len__(self):
         return len(self.faces)
 
-    def of_dimension(self, d):
-        return [f for f in self.faces if f[0] == d]
-
     def counts(self):
         out = {}
         for d, _ in self.faces:
@@ -313,29 +315,24 @@ class FacePoset:
         return self.faces[a][1] <= self.faces[b][1]
 
 
-def convex_hull(points, dimension_cap=DIMENSION_CAP):
+def convex_hull(points):
     """Both descriptions of the hull of finitely many rational points."""
     if not points:
         raise ValueError("need at least one point")
     ambient = len(points[0])
-    if ambient > dimension_cap:
-        raise DimensionError(f"ambient rank {ambient} exceeds the cap {dimension_cap}")
+    if ambient > DIMENSION_CAP:
+        raise DimensionError(f"ambient rank {ambient} exceeds the cap {DIMENSION_CAP}")
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
-    frame = _AffineFrame(pts)
-    cone = [tuple(h[c] for c in frame.pivots) for h in frame.rows]
-    # facet (a0, a) of the cone over the points is a . x >= -a0
-    facets = []
-    for n in _supporting_normals(cone, frame.dim + 1) if frame.dim else ():
-        amb = _scatter(n, frame.pivots, ambient + 1)
-        tight = sum(1 << i for i, h in enumerate(cone) if vec_dot(n, h) == 0)
-        facets.append(((amb[1:], -amb[0]), tight))
-    facets.sort()
+    cone_facets, kernel = _dual([clear_denominators((1,) + p) for p in pts], ambient + 1)
+    # facet (a0, a) of the cone over the points is a . x >= -a0; the cone over
+    # a single point has no facet through a point
+    facets = sorted(((a[1:], -a[0]), t) for a, t in cone_facets if t)
     masks = [t for _, t in facets]
     extreme = [i for i in range(len(pts)) if _closure(1 << i, masks, len(pts)) == 1 << i]
     index = {i: j for j, i in enumerate(extreme)}
-    facet_masks = tuple(sum(1 << j for i, j in index.items() if t >> i & 1) for _, t in facets)
+    facet_masks = tuple(sum(1 << j for i, j in index.items() if t >> i & 1) for t in masks)
     equations = []
-    for w in frame.kernel:
+    for w in kernel:
         n = canonical_direction(w[1:])
         equations.append((n, vec_dot(n, pts[0])))
     return Polytope(
@@ -343,7 +340,7 @@ def convex_hull(points, dimension_cap=DIMENSION_CAP):
         tuple(pts[i] for i in extreme),
         tuple(h for h, _ in facets),
         tuple(sorted(equations)),
-        frame.dim,
+        ambient - len(kernel),
         facet_masks,
     )
 
@@ -352,33 +349,22 @@ def from_halfspaces(ambient_rank, inequalities, equations=()):
     """Polytope cut out by the constraints, or None when empty.
 
     The constraint region must be bounded; every caller intersects bounded
-    sets (or a bounded set with a chamber that leaves it bounded).
+    sets (or a bounded set with a chamber that leaves it bounded).  Its
+    vertices v are the rays (s, s v), s > 0, of the homogenized cone
+    -c s + n . x >= 0 (== 0 for equations), s >= 0.
     """
-    eq_rows = [n for n, _ in equations]
-    eq_rhs = [c for _, c in equations]
-    if eq_rows:
-        part = solve_rational(eq_rows, eq_rhs)
-        if part is None:
-            return None
-        dirs = _nullspace(eq_rows, ambient_rank)
-    else:
-        part = tuple(Fraction(0) for _ in range(ambient_rank))
-        dirs = _nullspace([], ambient_rank)
-    # vertices t of {rn . t >= rc} are the rays (s, s t), s > 0, of the cone
-    # cut out by -rc s + rn . x >= 0 and s >= 0
-    homogenized = [(1,) + (0,) * len(dirs)]
-    for n, c in inequalities:
-        rn = tuple(vec_dot(n, d) for d in dirs)
-        rc = Fraction(c) - vec_dot(n, part)
-        homogenized.append(clear_denominators((-rc,) + rn))
-    lifted = [
-        _combine(part, [Fraction(xi, s) for xi in x], dirs)
-        for s, *x in _supporting_normals(homogenized, len(dirs) + 1)
-        if s > 0
-    ]
-    if not lifted:
-        return None
-    return convex_hull(lifted)
+
+    def homogenized(constraints):
+        return [clear_denominators((-Fraction(c),) + tuple(n)) for n, c in constraints]
+
+    s_nonnegative = (1,) + (0,) * ambient_rank
+    rays = _pointed_rays(
+        ambient_rank + 1,
+        homogenized(inequalities) + [s_nonnegative],
+        homogenized(equations),
+    )
+    vertices = [tuple(Fraction(x, s) for x in v) for s, *v in rays if s > 0]
+    return convex_hull(vertices) if vertices else None
 
 
 def intersect_polytopes(p, q):
@@ -450,14 +436,6 @@ class Cone:
     def dim(self):
         return self.ambient_rank - len(self.equations)
 
-    @property
-    def halfspaces(self):
-        hs = list(self.inequalities)
-        for n in self.equations:
-            hs.append(n)
-            hs.append(tuple(-x for x in n))
-        return tuple(hs)
-
     def contains(self, point):
         return all(vec_dot(n, point) == 0 for n in self.equations) and all(
             vec_dot(n, point) >= 0 for n in self.inequalities
@@ -486,7 +464,7 @@ class Cone:
         )
 
     @classmethod
-    def from_rays(cls, ambient_rank, rays, _canonicalize=True):
+    def from_rays(cls, ambient_rank, rays):
         prim = sorted({primitive(r) for r in rays if any(x != 0 for x in r)})
         if not prim:
             eqs = tuple(
@@ -494,54 +472,27 @@ class Cone:
                 for i in range(ambient_rank)
             )
             return cls(ambient_rank, (), (), eqs)
-        reduced, pivots = integer_rref(prim)
-        coords = [tuple(r[p] for p in pivots) for r in prim]
-        facets_red = _supporting_normals(coords, len(pivots))
-        tight = [
-            sum(1 << i for i, t in enumerate(coords) if vec_dot(n, t) == 0)
-            for n in facets_red
-        ]
-        ineqs = tuple(sorted(_scatter(n, pivots, ambient_rank) for n in facets_red))
-        kernel = rref_nullspace(reduced, pivots, ambient_rank)
+        facets, kernel = _dual(prim, ambient_rank)
+        ineqs = tuple(n for n, _ in facets)
+        tight = [t for _, t in facets]
         eqs = tuple(sorted(canonical_direction(w) for w in kernel))
         # pointed exactly when no generator lies on every facet: a nonzero
         # lineality space is a face, generated by the generators in it
         n = len(prim)
         if tight and not _closure(0, tight, n):
             extreme = [prim[i] for i in range(n) if _closure(1 << i, tight, n) == 1 << i]
-        elif _canonicalize:
-            # canonical generators for a cone with lineality: reconstruct
-            # from the (complete) halfspace description
-            extreme = cone_from_halfspaces(ambient_rank, ineqs, eqs).rays
         else:
-            extreme = prim
+            # canonical generators of a cone with lines, from its facets
+            extreme = _generators(ambient_rank, ineqs, eqs)
         return cls(ambient_rank, tuple(sorted(extreme)), ineqs, eqs)
 
 
 def cone_from_halfspaces(ambient_rank, inequality_normals, equation_normals=()):
-    """Cone cut out by normal.x >= 0 constraints and equations.
-
-    Handles lineality by splitting off line directions one at a time.
-    """
+    """Cone cut out by normal.x >= 0 constraints and equations."""
     # normalize and sort so the canonical output is construction-path free
     ineqs = sorted({primitive(n) for n in inequality_normals if any(x != 0 for x in n)})
     eqs = sorted({canonical_direction(n) for n in equation_normals if any(x != 0 for x in n)})
-    lin = _nullspace(ineqs + eqs, ambient_rank)
-    if lin:
-        v = primitive(lin[0])
-        sub = cone_from_halfspaces(ambient_rank, ineqs, eqs + [v])
-        return Cone.from_rays(
-            ambient_rank,
-            list(sub.rays) + [v, tuple(-x for x in v)],
-            _canonicalize=False,
-        )
-    span = _nullspace(eqs, ambient_rank)
-    k = len(span)
-    if k == 0:
-        return Cone.from_rays(ambient_rank, ())
-    red = [clear_denominators(tuple(vec_dot(n, d) for d in span)) for n in ineqs]
-    lifted = [_combine([0] * ambient_rank, r, span) for r in _supporting_normals(red, k)]
-    return Cone.from_rays(ambient_rank, lifted, _canonicalize=False)
+    return Cone.from_rays(ambient_rank, _generators(ambient_rank, ineqs, eqs))
 
 
 def cone_over(polytope):

@@ -9,13 +9,20 @@ search over (k - 1)-subsets, the oracle for its double description, and
 ``_AffineFrame`` the earlier rational reduced-row-echelon frame.  The
 elimination here is the earlier Fraction Gaussian elimination, independent
 of the library's fraction-free ``integer_rref``.
+
+``regular_subdivision`` and ``moment_set_is_convex`` are the library's
+earlier versions, which map every point into frame coordinates: the first
+hulls the lifted frame coordinates and reads the lower facets off that hull,
+the second measures each cell's volume in the frame of the union's hull.
+Here both run on this module's ``convex_hull`` and ``_AffineFrame`` (whose
+``coords`` and ``dim`` are those of the library's later integer frame).
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from ssvlib.errors import DimensionError
+from ssvlib.errors import DegenerateLiftError, DimensionError
 from ssvlib.lattice import integer_kernel
 from ssvlib.linalg import (
     canonical_direction,
@@ -482,3 +489,71 @@ def _triangulate_full(coords):
             out.append([apex] + [_frame_lift(fframe, s) for s in simplex])
     return out
 
+
+
+def regular_subdivision(polytope, points, heights):
+    """Cells of the regular subdivision induced by lifted heights.
+
+    Cells are the projections of the lower-hull facets of the lifted point
+    set (equivalently the linearity domains of the lower envelope); all
+    heights affinely dependent yields the trivial subdivision.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    hts = [Fraction(h) for h in heights]
+    if len(pts) != len(hts):
+        raise ValueError("points and heights must have equal lengths")
+    if len(set(pts)) != len(pts):
+        raise DegenerateLiftError("duplicate lift points")
+    for p in pts:
+        if not polytope.contains_point(p):
+            raise DegenerateLiftError(f"lift point {p} is outside the polytope")
+    # the points lie in the polytope: their hull is it iff they include its vertices
+    if not set(polytope.vertices) <= set(pts):
+        raise DegenerateLiftError("lift points must span the polytope")
+    frame = _AffineFrame(sorted(pts))
+    coords = [frame.coords(p) for p in pts]
+    # lifted hull vertices are lifted points, so each frame coordinate is known
+    inverse = dict(zip(coords, pts))
+    lifted = [t + (h,) for t, h in zip(coords, hts)]
+    hull = convex_hull(lifted, dimension_cap=DIMENSION_CAP + 1)
+    if hull.dim < frame.dim + 1:
+        return [polytope]
+    cells = []
+    for (n, _), facet in zip(hull.inequalities, hull.facet_vertex_sets()):
+        if n[-1] <= 0:
+            continue  # inward normal points up exactly on lower facets
+        cells.append(convex_hull([inverse[hull.vertices[i][:-1]] for i in facet]))
+    cells.sort(key=lambda p: (p.dim, p.vertices))
+    return cells
+
+
+def _frame_volume(frame, polytope):
+    """Volume of the polytope in the coordinates of the given frame."""
+    coords = [frame.coords(v) for v in polytope.vertices]
+    if any(c is None for c in coords):
+        return None
+    return _volume_of_points(coords)
+
+
+def moment_set_is_convex(complex_):
+    """True iff the union of the maximal cell polytopes is convex."""
+    maximal = complex_.maximal_cells()
+    if len(maximal) == 1:
+        return True
+    dims = {c.polytope.dim for c in maximal}
+    if len(dims) != 1:
+        return False
+    d = dims.pop()
+    all_vertices = [v for c in maximal for v in c.polytope.vertices]
+    hull = convex_hull(all_vertices)
+    if hull.dim != d:
+        return False
+    frame = _AffineFrame(hull.vertices)
+    total = Fraction(0)
+    for c in maximal:
+        vol = _frame_volume(frame, c.polytope)
+        if vol is None:
+            return False
+        total += vol
+    hull_vol = _volume_of_points([frame.coords(v) for v in hull.vertices])
+    return total == hull_vol

@@ -1,4 +1,4 @@
-"""Golden `ssv` reports on the shipped fixture documents.
+"""Golden `ssv` reports on the shipped fixture documents and a few searches.
 
 Each case runs `cli.main` in-process with `--format json` and compares the
 exit code and the path-independent part of the report (`results`, or
@@ -22,6 +22,10 @@ GOLDEN = Path(__file__).resolve().parent / "fixture_reports.json"
 
 COMPLEXES = ("p1xp1", "segment04", "sl2_chain", "two_triangles")
 HEIGHTS = ("chain_heights", "halfint_heights")
+# (r, ranks, cap) of `matroid subdivisions` and (root datum, weight) of
+# `moment --admissible`: the regular-subdivision and convexity paths
+SUBDIVISIONS = (("2", "1,1,1,1", "2"), ("2", "1,2,1", "2"), ("3", "2,2,2", "1"))
+MOMENTS = (("A2", "1,0"), ("A2", "1,1"), ("A3", "1,1,0"), ("B2", "1,1"))
 
 
 def _cases():
@@ -38,6 +42,14 @@ def _cases():
             key = f"degenerate {name} {heights}"
             cases[key] = ["degenerate", doc, "--heights", f"{heights}.json"]
             cases[f"{key} auto"] = cases[key] + ["--base-change", "auto"]
+    for r, ranks, cap in SUBDIVISIONS:
+        cases[f"matroid subdivisions {r};{ranks} cap {cap}"] = [
+            "matroid", "subdivisions", "--r", r, "--ranks", ranks, "--cap", cap
+        ]
+    for datum, weight in MOMENTS:
+        cases[f"moment {datum} {weight} admissible"] = [
+            "moment", "--root-datum", datum, "--weight", weight, "--admissible"
+        ]
     return cases
 
 

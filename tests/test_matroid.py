@@ -161,6 +161,15 @@ def test_single_point_trivial():
 def test_search_budget_error():
     with pytest.raises(SearchBudgetError):
         enumerate_matroid_subdivisions(GradedShape(3, tuple([1] * 13)))
+    # Delta(2,5) at cap 9: 10^10 grid points over 120 symmetries, refused
+    # before any assignment is built
+    with pytest.raises(SearchBudgetError, match="at least 83333334"):
+        enumerate_matroid_subdivisions(GradedShape(2, (1,) * 5), cap=9)
+    # Delta(2,4) at cap 2: 3^6 / 24 <= 31, so the search starts and stops at
+    # the 32nd canonical assignment
+    with pytest.raises(SearchBudgetError, match="more than 31"):
+        enumerate_matroid_subdivisions(octa_shape(), cap=2, budget=31)
+    assert len(enumerate_matroid_subdivisions(octa_shape(), cap=2, budget=100)) == 4
     with pytest.raises(ParamError):
         enumerate_matroid_subdivisions(octa_shape(), cap=-1)
 

@@ -5,7 +5,9 @@ searches in ``polyhedral_oracle``; every description (vertices or rays,
 inequalities, equations) must come out identical.  ``is_face_of`` is checked
 against the enumerated face lattice, ``face_vertex_sets``.  The kernel itself,
 double description, is compared with the exhaustive search it replaced, and
-its Bareiss kernel lines with the Smith-form ``integer_kernel``.
+its Bareiss kernel lines with the Smith-form ``integer_kernel``.  Regular
+subdivisions and the convexity flag of their cells are compared with the
+earlier versions that worked in frame coordinates.
 """
 
 from fractions import Fraction
@@ -14,9 +16,10 @@ import polyhedral_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssvlib.complexes import _volume_of_points
-from ssvlib.lattice import integer_kernel
-from ssvlib.linalg import integer_rref
+from ssvlib.complexes import Cell, SSVComplex, _volume_of_points, moment_set_is_convex
+from ssvlib.degeneration import regular_subdivision
+from ssvlib.lattice import Lattice, integer_kernel
+from ssvlib.linalg import integer_rref, vec_dot
 from ssvlib.polyhedral import (
     Cone,
     _kernel_line,
@@ -183,3 +186,64 @@ def test_is_face_of_matches_face_lattice(case, data):
                 and frozenset(where[v] for v in s.vertices) in faces
             )
             assert s.is_face_of(p) == expected
+
+
+@st.composite
+def lifted_points(draw):
+    """(points, heights) for a regular subdivision.
+
+    Lattice or rational points in dims 1-3 with integer heights; some lifts
+    are flat (an affine function), some points are the midpoint of two
+    others lifted onto the segment between their lifts (so onto a lower
+    facet when that segment is a lower edge), and some point sets are
+    embedded in a larger space, so that their polytope has equations.
+    """
+    d = draw(st.integers(1, 3))
+    entry = draw(st.sampled_from([integer.map(Fraction), coordinate]))
+    size = draw(st.integers(d + 1, d + 4))
+    points = draw(st.lists(st.tuples(*[entry] * d), min_size=size, max_size=size, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        a, b = draw(integer), draw(st.tuples(*[integer] * d))
+        heights = [a + vec_dot(b, p) for p in points]
+    else:
+        heights = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    index = st.integers(0, size - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        mid = tuple((x + y) / 2 for x, y in zip(points[i], points[j]))
+        if mid not in points:
+            points.append(mid)
+            heights.append(Fraction(heights[i] + heights[j]) / 2)
+    if draw(st.integers(0, 2)) == 0:
+        rows = draw(st.lists(st.tuples(*[integer] * d), min_size=1, max_size=2))
+        points = [p + tuple(vec_dot(r, p) + 1 for r in rows) for p in points]
+    return points, heights
+
+
+@EXAMPLES
+@given(lifted_points())
+def test_regular_subdivision_matches_oracle(case):
+    points, heights = case
+    mine = regular_subdivision(convex_hull(points), points, heights)
+    reference = oracle.regular_subdivision(oracle.convex_hull(points), points, heights)
+    assert [_polytope_parts(c) for c in mine] == [_polytope_parts(c) for c in reference]
+
+
+def _complex(polytopes):
+    gamma = Lattice.standard(polytopes[0].ambient_rank + 1)
+    cells = [Cell(f"c{i}", p, gamma) for i, p in enumerate(polytopes)]
+    return SSVComplex(polytopes[0].ambient_rank, gamma, cells, [c.id for c in cells])
+
+
+@EXAMPLES
+@given(lifted_points(), st.data())
+def test_convexity_flag_matches_oracle(case, data):
+    # on a whole subdivision (always convex) and on a random set of its
+    # cells, a proper set of at least two when there are three or more
+    points, heights = case
+    cells = regular_subdivision(convex_hull(points), points, heights)
+    n = len(cells)
+    size = st.integers(2, n - 1) if n > 2 else st.just(n)
+    chosen = data.draw(size.flatmap(lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+    for polytopes in (cells, [cells[i] for i in sorted(chosen)]):
+        complex_ = _complex(polytopes)
+        assert moment_set_is_convex(complex_) == oracle.moment_set_is_convex(complex_)
