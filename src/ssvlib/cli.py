@@ -8,16 +8,12 @@ import argparse
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .cohomology import build_gluing_complex, diag_cohomology
 from .complexes import section_module, singleton_complex, sl2_catalog
-from .degeneration import (
-    HeightFunction,
-    base_change_exponent,
-    special_fiber_complex,
-    special_fiber_reduced,
-)
+from .degeneration import HeightFunction, _fiber_complex, _integrality, regular_subdivision
 from .documents import (
     complex_to_document,
     dumps,
@@ -34,8 +30,8 @@ from .matroid import (
     thin_cell_weight_set,
     weight_set,
 )
-from .polyhedral import AffineMonoid, cone_over, convex_hull, hilbert_basis
-from .rootdata import dominant_hull, is_w_admissible, root_datum, weyl_dimension, weyl_orbit
+from .polyhedral import AffineMonoid, cone_over, hilbert_basis
+from .rootdata import _orbit_hulls, is_w_admissible, root_datum, weyl_dimension
 
 
 class _UsageError(Exception):
@@ -105,9 +101,10 @@ def _invariants_dict(inv):
 
 
 def _weight_of(text):
-    from fractions import Fraction
-
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    try:
+        return tuple(Fraction(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"bad --weight: {exc}") from None
 
 
 def _report(args, results, inputs=()):
@@ -143,6 +140,10 @@ def _cmd_sections(args):
     if label is None:
         raise _UsageError("no root datum: pass --root-datum or set it in the document")
     datum = root_datum(label)
+    if complex_.rank < datum.rank:
+        raise _UsageError(
+            f"weights have {complex_.rank} coordinates, root datum rank is {datum.rank}"
+        )
     summary = section_module(complex_, args.degree, datum)
     results = {
         "degree": summary.degree,
@@ -184,8 +185,7 @@ def _cmd_degenerate(args):
     gamma = complex_.gamma
     height = HeightFunction.from_lifted(points, heights)
     monoid = AffineMonoid(gamma, hilbert_basis(cone_over(cell.polytope), gamma))
-    reduced, witness = special_fiber_reduced(height, monoid)
-    exponent = base_change_exponent(height, monoid)
+    reduced, witness, exponent = _integrality(height, monoid)
     results = {
         "reduced": reduced,
         "witness": list(witness) if witness is not None else None,
@@ -194,11 +194,9 @@ def _cmd_degenerate(args):
     inputs = [args.file, args.heights]
     if not reduced and args.base_change != "auto":
         return 1, _report(args, results, inputs)
-    scale = 1 if reduced else exponent
-    fiber = special_fiber_complex(
-        gamma, cell.polytope, points, [h * scale for h in heights]
-    )
-    results["applied_base_change"] = scale
+    # a positive scale leaves the subdivision unchanged, and makes the height integral
+    fiber = _fiber_complex(gamma, regular_subdivision(cell.polytope, points, heights))
+    results["applied_base_change"] = 1 if reduced else exponent
     results["fiber"] = {
         "cells": [
             {
@@ -256,11 +254,11 @@ def _cmd_matroid(args):
         if not isinstance(raw, dict):
             raise _UsageError("--d must be a JSON object keyed by index strings")
         for key, value in raw.items():
-            try:
-                subset = frozenset(int(ch) for ch in key)
-            except ValueError:
-                raise _UsageError(f"bad subset key {key!r}") from None
-            entries[subset] = value
+            if not set(key) <= set("0123456789"):
+                raise _UsageError(f"bad subset key {key!r}")
+            if type(value) is not int:
+                raise _UsageError(f"bad value {value!r} for subset key {key!r}")
+            entries[frozenset(int(ch) for ch in key)] = value
         data = RankFunctionData(shape, entries)
         points, full, witness = thin_cell_weight_set(shape, data)
         results = {
@@ -283,18 +281,18 @@ def _cmd_moment(args):
         raise _UsageError(
             f"weight has {len(weight)} coordinates, root datum rank is {datum.rank}"
         )
-    orbit = weyl_orbit(datum, weight)
-    hull = dominant_hull(datum, weight)
+    orbit_hull, hull = _orbit_hulls(datum, weight)
     results = {
         "root_datum": args.root_datum,
         "weight": [str(x) for x in weight],
-        "orbit_size": len(orbit),
+        # a Weyl orbit lies on a sphere of the invariant form: all vertices
+        "orbit_size": len(orbit_hull.vertices),
         "hull_vertices": [[rational_to_string(x) for x in v] for v in hull.vertices],
     }
     if all(x.denominator == 1 and x >= 0 for x in weight):
         results["dimension"] = weyl_dimension(datum, weight)
     if args.admissible:
-        results["orbit_hull_admissible"] = is_w_admissible(datum, convex_hull(orbit))
+        results["orbit_hull_admissible"] = is_w_admissible(datum, orbit_hull)
     return 0, _report(args, results)
 
 

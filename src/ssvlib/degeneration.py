@@ -197,35 +197,34 @@ def _piece_monoid_bases(height, monoid):
             yield b, piece.value(b)
 
 
-def special_fiber_reduced(height, monoid):
-    """(flag, witness): integrality of the height on the whole monoid.
+def _integrality(height, monoid):
+    """(reduced, witness, exponent) from one pass over the piece Hilbert bases.
 
-    The height is linear on each piece, so integrality at the Hilbert basis
-    of each piece of the monoid decides integrality everywhere; the witness
-    is a monoid element with non-integral height.
+    The height is linear on each piece, so its values at the Hilbert basis of
+    each piece of the monoid decide integrality: the witness is the first
+    non-integral one, the exponent the least N making all of them integral.
     """
-    _check_monoid_coverage(height, monoid)
-    for b, v in _piece_monoid_bases(height, monoid):
-        if Fraction(v).denominator != 1:
-            return False, b
-    return True, None
-
-
-def _check_monoid_coverage(height, monoid):
     mcone = monoid.cone()
-    if not mcone.rays:
-        return
-    _check_coverage(mcone, height)
+    if mcone.rays:
+        _check_coverage(mcone, height)
+    witness = None
+    n = 1
+    for b, v in _piece_monoid_bases(height, monoid):
+        den = Fraction(v).denominator
+        if den != 1 and witness is None:
+            witness = b
+        n = n * den // gcd(n, den)
+    return witness is None, witness, n
+
+
+def special_fiber_reduced(height, monoid):
+    """(flag, witness): integrality of the height on the whole monoid."""
+    return _integrality(height, monoid)[:2]
 
 
 def base_change_exponent(height, monoid):
     """Least N with N * height integral on the monoid."""
-    _check_monoid_coverage(height, monoid)
-    n = 1
-    for _, v in _piece_monoid_bases(height, monoid):
-        den = Fraction(v).denominator
-        n = n * den // gcd(n, den)
-    return n
+    return _integrality(height, monoid)[2]
 
 
 def regular_subdivision(polytope, points, heights):
@@ -272,16 +271,19 @@ def special_fiber_complex(gamma, polytope, points, heights):
     """
     height = HeightFunction.from_lifted(points, heights)
     monoid = AffineMonoid(gamma, hilbert_basis(cone_over(polytope), gamma))
-    reduced, witness = special_fiber_reduced(height, monoid)
+    reduced, witness, _ = _integrality(height, monoid)
     if not reduced:
         raise NotReducedError(
             f"special fiber is non-reduced at weight {witness}", witness
         )
-    cells = regular_subdivision(polytope, points, heights)
-    rank = polytope.ambient_rank
-    wrapped = []
-    for i, cell in enumerate(cells):
-        group = gamma.intersect_subspace([(1,) + v for v in cell.vertices])
-        wrapped.append(Cell(f"c{i}", cell, group))
-    base = SSVComplex(rank, gamma, wrapped, tuple(c.id for c in wrapped))
+    return _fiber_complex(gamma, regular_subdivision(polytope, points, heights))
+
+
+def _fiber_complex(gamma, cells):
+    """The completed complex on regular-subdivision cells, saturated groups."""
+    wrapped = [
+        Cell(f"c{i}", cell, gamma.intersect_subspace([(1,) + v for v in cell.vertices]))
+        for i, cell in enumerate(cells)
+    ]
+    base = SSVComplex(cells[0].ambient_rank, gamma, wrapped, [c.id for c in wrapped])
     return complete_faces(base, full=True)

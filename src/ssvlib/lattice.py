@@ -293,9 +293,6 @@ class Lattice:
                 v[k] += c * row[k]
         return tuple(v)
 
-    def contains_lattice(self, other):
-        return all(g in self for g in other.basis)
-
     def intersect(self, other):
         """Intersection with another subgroup of the same ambient Z^d."""
         if self.ambient_rank != other.ambient_rank:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDominantError, RankError
-from .linalg import mat_identity, mat_mul, solve_rational
+from .linalg import clear_denominators, mat_identity, mat_mul, solve_rational, vec_dot
 from .polyhedral import convex_hull, from_halfspaces, relative_interiors_meet
 
 RANK_CAP = 4
@@ -204,6 +204,8 @@ def weyl_orbit(datum, weight):
 
 def weyl_dimension(datum, weight):
     """Dimension of the simple module with the given dominant highest weight."""
+    if len(weight) < datum.rank:  # coordinates past the rank: a central torus
+        raise RankError(f"weight has {len(weight)} coordinates, rank is {datum.rank}")
     coords = []
     for w in weight:
         f = Fraction(w)
@@ -226,17 +228,21 @@ def weyl_dimension(datum, weight):
 
 def dominant_hull(datum, weight):
     """conv(W * weight) intersected with the dominant chamber."""
+    return _orbit_hulls(datum, weight)[1]
+
+
+def _orbit_hulls(datum, weight):
+    """(conv(W * weight), its dominant part) from one orbit and one hull."""
     if not datum.is_dominant(weight):
         raise NotDominantError(f"weight {tuple(weight)} is not dominant")
-    orbit = weyl_orbit(datum, weight)
-    hull = convex_hull(orbit)
+    hull = convex_hull(weyl_orbit(datum, weight))
     result = from_halfspaces(
         datum.rank,
         tuple(hull.inequalities) + tuple(datum.chamber_inequalities()),
         hull.equations,
     )
     assert result is not None  # the weight itself is in the intersection
-    return result
+    return hull, result
 
 
 def is_w_admissible(datum, polytope):
@@ -259,11 +265,18 @@ def is_w_admissible(datum, polytope):
     # single facet, so the barycenter decides membership exactly.
     if not polytope.relint_contains(meet.barycenter()):
         return False
+    # An invertible map sends vertices to vertices, so a translate is known by
+    # its sorted vertex images; one common denominator keeps the keys exact.
+    r = polytope.ambient_rank
+    flat = clear_denominators([x for v in polytope.vertices for x in v])
+    scaled = [flat[i:i + r] for i in range(0, len(flat), r)]
+    seen = set()
     translates = []
     for m in root_datum(datum.label).weyl_matrices():
-        img = polytope.transformed(m)
-        if img not in translates:
-            translates.append(img)
+        key = tuple(sorted(tuple(vec_dot(row, v) for row in m) for v in scaled))
+        if key not in seen:
+            seen.add(key)
+            translates.append(polytope.transformed(m))
     for a in range(len(translates)):
         for b in range(a + 1, len(translates)):
             if relative_interiors_meet(translates[a], translates[b]):

@@ -262,6 +262,9 @@ P1XP1 = str(Path(__file__).resolve().parent.parent / "fixtures" / "p1xp1.json")
         ["matroid", "weightset", "--r", "1", "--ranks", "0,1"],
         ["matroid", "weightset", "--r", "1", "--ranks", "1,x"],
         ["matroid", "subdivisions", "--r", "2", "--ranks", "1,1,1", "--cap", "-1"],
+        ["moment", "--root-datum", "A2", "--weight", "1,x"],
+        ["moment", "--root-datum", "A2", "--weight", "1/0,1"],
+        ["matroid", "thincell", "--r", "2", "--ranks", "1,1,1,1", "--d", '{"01": "1/0"}'],
     ],
 )
 def test_bad_parameters_are_usage_errors(argv):
@@ -296,3 +299,9 @@ def test_shipped_fixture_documents_round_trip():
         raw = load_json(str(root / name))
         points, heights = document_to_heights(raw)
         assert dumps(heights_to_document(points, heights)) == (root / name).read_text()
+
+
+def test_sections_root_datum_of_larger_rank_is_a_usage_error():
+    res = run_cli(["sections", P1XP1, "--degree", "1", "--root-datum", "B2"])
+    assert res.returncode == 2
+    assert res.stderr == "usage error: weights have 1 coordinates, root datum rank is 2\n"

@@ -13,7 +13,7 @@ from ssvlib.complexes import (
     validate_complex,
     vq_module_data,
 )
-from ssvlib.errors import OutsideSupportError, ParamError, ValidationError
+from ssvlib.errors import OutsideSupportError, ParamError, RankError, ValidationError
 from ssvlib.fixtures import (
     overlapping_squares_complex,
     segre_quadric_cell,
@@ -124,6 +124,8 @@ def test_section_module_segre():
     assert section_module(x, 0, a1).total_dimension == 1
     with pytest.raises(ParamError):
         section_module(x, -1, a1)
+    with pytest.raises(RankError):
+        section_module(x, 1, root_datum("B2"))
 
 
 def test_section_module_chain_and_mayer_vietoris():

@@ -25,7 +25,10 @@ HEIGHTS = ("chain_heights", "halfint_heights")
 # (r, ranks, cap) of `matroid subdivisions` and (root datum, weight) of
 # `moment --admissible`: the regular-subdivision and convexity paths
 SUBDIVISIONS = (("2", "1,1,1,1", "2"), ("2", "1,2,1", "2"), ("3", "2,2,2", "1"))
-MOMENTS = (("A2", "1,0"), ("A2", "1,1"), ("A3", "1,1,0"), ("B2", "1,1"))
+MOMENTS = (
+    ("A2", "1,0"), ("A2", "1,1"), ("A3", "1,1,0"), ("B2", "1,1"),
+    ("A1xA2", "1,1,0"), ("A3", "0,1,0"), ("C3", "1,0,1"),
+)
 
 
 def _cases():
