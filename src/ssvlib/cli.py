@@ -392,7 +392,10 @@ def build_parser():
     p = sub.add_parser("moment", help="moment polytope of a dominant weight")
     _add_common(p)
     p.add_argument("--root-datum", dest="root_datum", required=True)
-    p.add_argument("--weight", required=True, help="comma separated coordinates")
+    p.add_argument(
+        "--weight", required=True,
+        help="comma separated coordinates; pass one starting with '-' as --weight=-1,1",
+    )
     p.add_argument("--admissible", action="store_true")
 
     p = sub.add_parser("snf", help="Smith normal form of a matrix on stdin")

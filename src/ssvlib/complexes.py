@@ -84,10 +84,7 @@ class Cell:
         rays = self.cone().rays
         if self.weight_group.rank != self.polytope.dim + 1:
             return False
-        basis_cols = [
-            tuple(b[i] for b in self.weight_group.basis)
-            for i in range(self.weight_group.ambient_rank)
-        ]
+        basis_cols = list(zip(*self.weight_group.basis))
         return all(solve_rational(basis_cols, r) is not None for r in rays)
 
 
@@ -233,19 +230,24 @@ def validate_complex(complex_):
     relation; weight groups are direct summands of the ambient group and
     restrict consistently to common faces.  The convexity flag decides the
     Cohen-Macaulay flag.
+
+    Two checks follow from earlier ones and search for a witness only when
+    those fail.  If every pairwise intersection is a common face, a cell
+    inside another is their intersection, hence a face of it.  If spans
+    match and every group is a direct summand, each group is gamma cap
+    span(cone) and restricts to gamma cap span(face), the face's own group
+    (README, Conventions).
     """
     checks = []
     cells = complex_.sorted_cells()
 
-    span_witness = ""
-    for c in cells:
-        if not c.span_matches_weight_group():
-            span_witness = f"cell {c.id}"
-            break
+    span_witness = next(
+        (f"cell {c.id}" for c in cells if not c.span_matches_weight_group()), ""
+    )
     checks.append(CheckResult("cell-spans", span_witness == "", span_witness))
 
     inter_witness = ""
-    face_groups = {}
+    glued = []  # (id of the stored intersection, a, b)
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             a, b = cells[i], cells[j]
@@ -256,32 +258,23 @@ def validate_complex(complex_):
             if inter is None:
                 continue
             if not (inter.is_face_of(a.polytope) and inter.is_face_of(b.polytope)):
-                inter_witness = (
-                    f"cells {a.id},{b.id} intersect but not in a common face"
-                )
+                inter_witness = f"cells {a.id},{b.id} intersect but not in a common face"
                 break
             stored = complex_.cell_with_polytope(inter)
             if stored is None:
                 inter_witness = f"intersection of {a.id},{b.id} is not a cell"
                 break
-            face_groups.setdefault(stored.id, []).append((a, b, inter))
+            glued.append((stored.id, a, b))
         if inter_witness:
             break
-    checks.append(
-        CheckResult("pairwise-intersections", inter_witness == "", inter_witness)
-    )
+    checks.append(CheckResult("pairwise-intersections", inter_witness == "", inter_witness))
 
-    order_witness = ""
-    for a in cells:
-        for b in cells:
-            if a.id == b.id:
-                continue
-            if b.polytope.contains_polytope(a.polytope):
-                if not a.polytope.is_face_of(b.polytope):
-                    order_witness = f"{a.id} inside {b.id} but not a face"
-                    break
-        if order_witness:
-            break
+    order_witness = next((
+        f"{a.id} inside {b.id} but not a face"
+        for a in (cells if inter_witness else ()) for b in cells
+        if a.id != b.id and b.polytope.contains_polytope(a.polytope)
+        and not a.polytope.is_face_of(b.polytope)
+    ), "")
     checks.append(CheckResult("containment-is-face", order_witness == "", order_witness))
 
     summand_witness = ""
@@ -298,20 +291,15 @@ def validate_complex(complex_):
     )
 
     restrict_witness = ""
-    if not inter_witness:
-        for face_id, pairs in sorted(face_groups.items()):
-            face_cell = complex_.cell(face_id)
-            rays = face_cell.cone().rays
-            expected = face_cell.weight_group
-            for a, b, _inter in pairs:
-                ra = a.weight_group.intersect_subspace(rays)
-                rb = b.weight_group.intersect_subspace(rays)
-                if ra != rb or ra != expected:
-                    restrict_witness = (
-                        f"cells {a.id},{b.id} restrict differently on face {face_id}"
-                    )
-                    break
-            if restrict_witness:
+    if not inter_witness and (span_witness or summand_witness):
+        for face_id, a, b in sorted(glued, key=lambda g: g[0]):
+            face = complex_.cell(face_id)
+            rays = face.cone().rays
+            ra = a.weight_group.intersect_subspace(rays)
+            if ra != face.weight_group or b.weight_group.intersect_subspace(rays) != ra:
+                restrict_witness = (
+                    f"cells {a.id},{b.id} restrict differently on face {face_id}"
+                )
                 break
     checks.append(
         CheckResult("face-restrictions-agree", restrict_witness == "", restrict_witness)

@@ -237,7 +237,9 @@ def regular_subdivision(polytope, points, heights):
     inward normal points up; heights affine on the points add a linear form
     vanishing on that cone to the equations of the polytope.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    # one Fraction per coordinate value, shared by the points and their cells
+    rational = {x: Fraction(x) for p in points for x in p}
+    pts = [tuple(rational[x] for x in p) for p in points]
     hts = [Fraction(h) for h in heights]
     if len(pts) != len(hts):
         raise ValueError("points and heights must have equal lengths")
@@ -249,15 +251,19 @@ def regular_subdivision(polytope, points, heights):
     # the points lie in the polytope: their hull is it iff they include its vertices
     if not set(polytope.vertices) <= set(pts):
         raise DegenerateLiftError("lift points must span the polytope")
+    # the polytope keeps the points and cells of its subdivisions by value, so
+    # that subdividing it again gives cells sharing them, not copies of them
+    if polytope._shared is None:
+        object.__setattr__(polytope, "_shared", {})
+    shared = polytope._shared
+    pts = [shared.setdefault(p, p) for p in pts]
     lifted = [clear_denominators((1,) + p + (h,)) for p, h in zip(pts, hts)]
     facets, kernel = _dual(lifted, polytope.ambient_rank + 2)
     if len(kernel) > len(polytope.equations):
         return [polytope]
-    cells = [
-        convex_hull([p for i, p in enumerate(pts) if mask >> i & 1])
-        for n, mask in facets
-        if n[-1] > 0
-    ]
+    hulls = (convex_hull([p for i, p in enumerate(pts) if mask >> i & 1])
+             for n, mask in facets if n[-1] > 0)
+    cells = [shared.setdefault(c.vertices, c) for c in hulls]
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
 

@@ -182,10 +182,13 @@ class Polytope:
     and ``equations`` cut out the affine hull; together they describe the
     polytope exactly.  Vertices are exactly the extreme points; each
     inequality's vertex indices are kept as a bitmask (``facet_vertex_sets``).
+    ``_shared`` holds the points and cells of regular subdivisions of the
+    polytope by value (``degeneration.regular_subdivision``).
     """
 
     __slots__ = (
-        "ambient_rank", "vertices", "inequalities", "equations", "_dim", "_facet_masks"
+        "ambient_rank", "vertices", "inequalities", "equations", "_dim", "_facet_masks",
+        "_shared",
     )
 
     def __init__(self, ambient_rank, vertices, inequalities, equations, dim, facet_masks):
@@ -195,6 +198,7 @@ class Polytope:
         object.__setattr__(self, "equations", equations)
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_facet_masks", facet_masks)
+        object.__setattr__(self, "_shared", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -316,13 +320,19 @@ class FacePoset:
 
 
 def convex_hull(points):
-    """Both descriptions of the hull of finitely many rational points."""
+    """Both descriptions of the hull of finitely many rational points.
+
+    A point that is a tuple of Fractions already is kept as it is, so that
+    the cells of a subdivision and their faces share vertex tuples with its
+    points instead of each holding copies.
+    """
     if not points:
         raise ValueError("need at least one point")
     ambient = len(points[0])
     if ambient > DIMENSION_CAP:
         raise DimensionError(f"ambient rank {ambient} exceeds the cap {DIMENSION_CAP}")
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    pts = sorted({p if all(type(x) is Fraction for x in p) else tuple(map(Fraction, p))
+                  for p in map(tuple, points)})
     cone_facets, kernel = _dual([clear_denominators((1,) + p) for p in pts], ambient + 1)
     # facet (a0, a) of the cone over the points is a . x >= -a0; the cone over
     # a single point has no facet through a point
@@ -441,20 +451,11 @@ class Cone:
             vec_dot(n, point) >= 0 for n in self.inequalities
         )
 
-    def lineality_rank(self):
-        rows = list(self.inequalities) + list(self.equations)
-        if not rows:
-            return self.ambient_rank if self.rays else 0
-        return len(rows[0]) - mat_rank(rows)
-
     @property
     def is_pointed(self):
-        if not self.rays:
-            return True
-        return self.lineality_rank() == 0
-
-    def spanning_vectors(self):
-        return self.rays
+        # the lineality space is where every constraint vanishes
+        rows = list(self.inequalities) + list(self.equations)
+        return not self.rays or (bool(rows) and mat_rank(rows) == self.ambient_rank)
 
     def intersect(self, other):
         return cone_from_halfspaces(
@@ -596,7 +597,7 @@ class AffineMonoid:
 
 def _reduced_cone_data(cone, gamma):
     """Lattice of gamma on span(cone) and the cone rays in its coordinates."""
-    lat = gamma.intersect_subspace(cone.spanning_vectors())
+    lat = gamma.intersect_subspace(cone.rays)
     if lat.is_zero:
         return lat, []
     basis_cols = [tuple(b[i] for b in lat.basis) for i in range(lat.ambient_rank)]

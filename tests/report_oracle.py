@@ -7,21 +7,32 @@ basis value, ``base_change_exponent`` walks the bases again, and each checks
 coverage on its own; ``special_fiber_complex`` rebuilds the height function,
 the monoid and its integrality check before wrapping the cells.
 ``is_w_admissible`` hulls every Weyl image of the polytope and keeps the
-images not equal to one kept before.
+images not equal to one kept before.  ``validate_complex`` runs its
+containment and face-restriction loops on every input, also when the
+checks before them already imply that these pass.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from ssvlib.complexes import Cell, SSVComplex, complete_faces
+from ssvlib.complexes import (
+    Cell,
+    CheckResult,
+    SSVComplex,
+    ValidationReport,
+    complete_faces,
+    moment_set_is_convex,
+)
 from ssvlib.degeneration import (
     HeightFunction,
     _check_coverage,
     _piece_monoid_bases,
     regular_subdivision,
 )
-from ssvlib.errors import NotReducedError, RankError
+from ssvlib.errors import ContainmentError, NotReducedError, RankError
+from ssvlib.lattice import is_direct_summand
 from ssvlib.polyhedral import AffineMonoid, cone_over, from_halfspaces, hilbert_basis
+from ssvlib.polyhedral import intersect_polytopes
 from ssvlib.polyhedral import relative_interiors_meet
 from ssvlib.rootdata import root_datum
 
@@ -111,3 +122,99 @@ def is_w_admissible(datum, polytope):
             if relative_interiors_meet(translates[a], translates[b]):
                 return False
     return True
+
+
+def validate_complex(complex_):
+    """Structural validation; failures carry concrete witnesses.
+
+    Checks: cell spans match weight groups; pairwise polytope intersections
+    are common faces and stored cells; containment agrees with the face
+    relation; weight groups are direct summands of the ambient group and
+    restrict consistently to common faces.  The convexity flag decides the
+    Cohen-Macaulay flag.
+    """
+    checks = []
+    cells = complex_.sorted_cells()
+
+    span_witness = ""
+    for c in cells:
+        if not c.span_matches_weight_group():
+            span_witness = f"cell {c.id}"
+            break
+    checks.append(CheckResult("cell-spans", span_witness == "", span_witness))
+
+    inter_witness = ""
+    face_groups = {}
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            a, b = cells[i], cells[j]
+            if a.polytope == b.polytope:
+                inter_witness = f"cells {a.id},{b.id} share a polytope"
+                break
+            inter = intersect_polytopes(a.polytope, b.polytope)
+            if inter is None:
+                continue
+            if not (inter.is_face_of(a.polytope) and inter.is_face_of(b.polytope)):
+                inter_witness = (
+                    f"cells {a.id},{b.id} intersect but not in a common face"
+                )
+                break
+            stored = complex_.cell_with_polytope(inter)
+            if stored is None:
+                inter_witness = f"intersection of {a.id},{b.id} is not a cell"
+                break
+            face_groups.setdefault(stored.id, []).append((a, b, inter))
+        if inter_witness:
+            break
+    checks.append(
+        CheckResult("pairwise-intersections", inter_witness == "", inter_witness)
+    )
+
+    order_witness = ""
+    for a in cells:
+        for b in cells:
+            if a.id == b.id:
+                continue
+            if b.polytope.contains_polytope(a.polytope):
+                if not a.polytope.is_face_of(b.polytope):
+                    order_witness = f"{a.id} inside {b.id} but not a face"
+                    break
+        if order_witness:
+            break
+    checks.append(CheckResult("containment-is-face", order_witness == "", order_witness))
+
+    summand_witness = ""
+    for c in cells:
+        try:
+            if not is_direct_summand(c.weight_group, complex_.gamma):
+                summand_witness = f"cell {c.id} weight group has torsion quotient"
+                break
+        except ContainmentError:
+            summand_witness = f"cell {c.id} weight group is not inside gamma"
+            break
+    checks.append(
+        CheckResult("weight-groups-direct-summands", summand_witness == "", summand_witness)
+    )
+
+    restrict_witness = ""
+    if not inter_witness:
+        for face_id, pairs in sorted(face_groups.items()):
+            face_cell = complex_.cell(face_id)
+            rays = face_cell.cone().rays
+            expected = face_cell.weight_group
+            for a, b, _inter in pairs:
+                ra = a.weight_group.intersect_subspace(rays)
+                rb = b.weight_group.intersect_subspace(rays)
+                if ra != rb or ra != expected:
+                    restrict_witness = (
+                        f"cells {a.id},{b.id} restrict differently on face {face_id}"
+                    )
+                    break
+            if restrict_witness:
+                break
+    checks.append(
+        CheckResult("face-restrictions-agree", restrict_witness == "", restrict_witness)
+    )
+
+    convex = moment_set_is_convex(complex_)
+    return ValidationReport(tuple(checks), convex, convex)

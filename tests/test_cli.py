@@ -185,6 +185,16 @@ def test_moment_command():
     assert payload["results"]["hull_vertices"] == [["0"], ["3"]]
 
 
+def test_negative_weight_needs_the_equals_form():
+    # argparse reads "-1,1" after a space as an option, not as the value
+    res = run_cli(["moment", "--root-datum", "A2", "--weight=-1,1"])
+    assert res.returncode == 1
+    assert "not dominant" in res.stdout
+    res = run_cli(["moment", "--root-datum", "A2", "--weight", "-1,1"])
+    assert res.returncode == 2
+    assert res.stderr == "usage error: argument --weight: expected one argument\n"
+
+
 def test_snf_command():
     res = run_cli(["snf", "--format", "json"], stdin="[[2, 4], [6, 8]]")
     assert res.returncode == 0

@@ -8,11 +8,21 @@ escape it, and both runs must print the same stdout and stderr.  `--help`
 is left out because argparse answers it through `SystemExit`.  Shapes of
 `matroid subdivisions` stay within four ranks and a cap of 2, so that no
 example runs long.
+
+The fixture complexes are also fuzzed as documents: one to three edits
+drop or duplicate cells, move vertices, change weight-group rows, break
+`maximal`, or put non-numeric entries and ``1/0`` in place of numbers, and
+`validate`, `cohomology` and `sections` read the result.  Such documents
+drive validation through the checks it otherwise skips, and they too must
+end in exit code 0, 1 or 2 without a traceback and repeat themselves.
 """
 
 import contextlib
+import copy
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -143,3 +153,113 @@ def test_cli_exits_cleanly_and_repeats(command, data):
     first = _run(argv, stdin)
     assert first[0] in (0, 1, 2)
     assert _run(argv, stdin) == first
+
+
+# hypothesis leans to the first entry of a list: the richest complex goes first
+DOCUMENTS = [json.loads(Path(path).read_text()) for path in reversed(COMPLEXES)]
+JUNK = st.sampled_from(["x", "1/0", "", None, [], True, "1/2", -1, 7, "1.5"])
+
+
+def _drop_cell(draw, doc):
+    if doc["cells"]:
+        cell = doc["cells"].pop(draw(st.integers(0, len(doc["cells"]) - 1)))
+        doc["maximal"] = [m for m in doc["maximal"] if m != cell["id"]]
+
+
+def _duplicate_cell(draw, doc):
+    if doc["cells"]:
+        cell = copy.deepcopy(draw(st.sampled_from(doc["cells"])))
+        if not draw(st.booleans()):  # a fresh id, so that the copy overlaps its original
+            cell["id"] += "'"
+        doc["cells"].insert(draw(st.integers(0, len(doc["cells"]))), cell)
+
+
+def _move_vertex(draw, doc):
+    vertices = draw(st.sampled_from(doc["cells"]))["vertices"] if doc["cells"] else []
+    if vertices:
+        vertex = draw(st.sampled_from(vertices))
+        vertex[draw(st.integers(0, len(vertex) - 1))] = draw(
+            st.sampled_from(["0", "1", "2", "3", "4", "1/2", "-1"])
+        )
+
+
+def _edit_group(draw, doc):
+    rows = draw(st.sampled_from(doc["cells"]))["weight_group"] if doc["cells"] else []
+    if not rows:
+        return
+    i = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(["entry", "drop", "repeat", "double", "append"]))
+    if edit == "entry":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.integers(-2, 4))
+    elif edit == "drop":
+        del rows[i]
+    elif edit == "repeat":
+        rows.append(list(rows[i]))
+    elif edit == "double":
+        rows[i] = [2 * x if type(x) is int else x for x in rows[i]]
+    else:
+        rows.append(draw(st.lists(st.integers(-2, 2), min_size=len(rows[i]), max_size=len(rows[i]))))
+
+
+def _break_maximal(draw, doc):
+    edit = draw(st.sampled_from(["drop", "unknown", "face", "scalar", "number"]))
+    ids = [cell["id"] for cell in doc["cells"]] or ["x"]
+    if edit == "drop" and doc["maximal"]:
+        doc["maximal"].pop()
+    elif edit == "unknown":
+        doc["maximal"].append("nope")
+    elif edit == "face":
+        doc["maximal"].append(draw(st.sampled_from(ids)))
+    elif edit == "scalar":
+        doc["maximal"] = draw(st.sampled_from(ids))
+    else:
+        doc["maximal"].append(3)
+
+
+def _junk(draw, doc):
+    """A non-numeric or out-of-place value where a number belongs."""
+    places = []
+    for cell in doc["cells"]:
+        places += [(v, j) for v in cell["vertices"] for j in range(len(v))]
+        places += [(row, j) for row in cell["weight_group"] for j in range(len(row))]
+    places += [(row, j) for row in doc["gamma"] for j in range(len(row))] + [(doc, "rank")]
+    holder, key = draw(st.sampled_from(places))
+    holder[key] = draw(JUNK)
+
+
+# edits that keep the document readable come first and most often, so that
+# most documents reach validation
+EDITS = (_drop_cell, _duplicate_cell, _move_vertex, _edit_group) * 3 + (_break_maximal, _junk)
+
+
+@st.composite
+def documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for edit in draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=3)):
+        if isinstance(doc.get("cells"), list) and isinstance(doc.get("maximal"), list):
+            edit(draw, doc)
+    return doc
+
+
+DOCUMENT_OPTIONS = {
+    "validate": st.just([]),
+    "cohomology": st.sampled_from(["auto", "toric", "supplied"]).map(lambda m: ["--mode", m]),
+    "sections": st.tuples(st.integers(0, 2), st.sampled_from([[], ["--root-datum", "A1"], ["--root-datum", "A2"]]))
+    .map(lambda t: ["--degree", str(t[0])] + t[1]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENT_OPTIONS))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_documents_exit_cleanly_and_repeat(command, data):
+    doc = data.draw(documents())
+    options = data.draw(DOCUMENT_OPTIONS[command]) + data.draw(st.sampled_from([[], ["--format", "json"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + options
+        first = _run(argv, "")
+        assert first[0] in (0, 1, 2)
+        assert "Traceback" not in first[2]
+        assert _run(argv, "") == first

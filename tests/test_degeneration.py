@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ssvlib.complexes import degree_slice, singleton_complex, Cell
+from ssvlib.complexes import Cell, SSVComplex, complete_faces, degree_slice, singleton_complex
 from ssvlib.degeneration import (
     HeightFunction,
     base_change_exponent,
@@ -128,6 +128,29 @@ def test_regular_subdivision_square_split():
         convex_hull([(1, 0), (0, 1), (1, 1)]),
     }
     assert set(cells) == expected
+
+
+def test_subdivision_cells_and_faces_share_vertex_tuples():
+    # shared tuples keep a subdivision's cells small; an equal copy would pass
+    # every other test, so the identity itself is pinned
+    points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    square = convex_hull(points)
+    a, b = regular_subdivision(square, points, [0, 0, 0, 1])
+    common = set(a.vertices) & set(b.vertices)
+    assert len(common) == 2
+    for v in common:
+        assert a.vertices[a.vertices.index(v)] is b.vertices[b.vertices.index(v)]
+    gamma = Lattice.standard(3)
+    cells = [Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays)) for i, p in enumerate((a, b))]
+    full = complete_faces(SSVComplex(2, gamma, cells, ("c0", "c1")))
+    parent = {id(v) for v in a.vertices + b.vertices}
+    faces = [c for c in full.cells if c.id.startswith("face")]
+    assert len(faces) == 9  # 5 edges and 4 vertices
+    assert all(id(v) in parent for c in faces for v in c.polytope.vertices)
+    # the square keeps its cells: heights moved by an affine function give
+    # the same subdivision, made of the very same cells
+    again = regular_subdivision(square, points, [1, 2, 1, 3])
+    assert again[0] is a and again[1] is b
 
 
 def test_regular_subdivision_octahedron_split():

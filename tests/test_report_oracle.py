@@ -5,16 +5,19 @@ Random heights on the fixtures' point sets must give the same reduced flag,
 witness, exponent and special fiber, also along the route `ssv degenerate`
 takes (the cells of the unscaled heights wrapped directly).  Orbit hulls
 are invariant under the Weyl group, so they have one translate; dominant
-hulls and shifted orbit hulls have several, which runs the pairwise test.
+hulls and shifted orbit hulls have several, which runs the pairwise test.  Completed regular
+subdivisions, whole or with one cell or group broken, must get the oracle's
+validation report, witnesses included.
 """
 
 from fractions import Fraction
 
 import pytest
 import report_oracle as oracle
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ssvlib.complexes import Cell, SSVComplex, complete_faces, validate_complex
 from ssvlib.degeneration import (
     HeightFunction,
     _fiber_complex,
@@ -140,3 +143,93 @@ def test_admissibility_of_moved_polytopes_matches_oracle():
 
     check()
     assert outcomes == {True, False}
+
+
+# the lattice of (d, x, y) with x and y even holds no cell's Z^3 cap span(cone)
+# once the cell has an edge
+GAMMAS = {
+    1: (Lattice.standard(2), Lattice(2, [(1, 0), (0, 2)])),
+    2: (Lattice.standard(3), Lattice(3, [(1, 0, 0), (0, 2, 0), (0, 0, 2)])),
+}
+MUTATIONS = ("none", "index-2", "wrong-rank", "outside-gamma", "extra-cell", "drop-face")
+
+
+@st.composite
+def lattice_supports(draw):
+    """(points, polytope): the lattice points of a random polygon or segment."""
+    if draw(st.booleans()):
+        ends = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        points = [(x,) for x in range(min(ends), max(ends) + 1)]
+        return points, convex_hull(points)
+    corners = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=5))
+    polygon = convex_hull(corners)
+    assume(polygon.dim == 2)
+    points = [(x, y) for x in range(3) for y in range(3) if polygon.contains_point((x, y))]
+    return points, polygon
+
+
+@st.composite
+def mutated_subdivisions(draw):
+    """(mutation, complex): a completed regular subdivision, maybe broken once."""
+    mutation = draw(st.sampled_from(MUTATIONS))
+    points, polytope = draw(lattice_supports())
+    rank = polytope.ambient_rank
+    gamma = GAMMAS[rank][1 if mutation == "outside-gamma" else draw(st.integers(0, 1))]
+    heights = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+    wrapped = [
+        Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays))
+        for i, p in enumerate(regular_subdivision(polytope, points, heights))
+    ]
+    base = SSVComplex(rank, gamma, wrapped, [c.id for c in wrapped])
+    cells = list(complete_faces(base).sorted_cells())
+    if mutation == "drop-face":
+        faces = [c for c in cells if c.id not in base.maximal_ids]
+        cells.remove(draw(st.sampled_from(faces)))
+    elif mutation == "extra-cell":
+        # the whole support holds every cell, and a point set may cut across cells
+        corners = st.lists(st.sampled_from(points), min_size=1, max_size=3, unique=True)
+        extra = convex_hull(draw(st.just(points) | corners))
+        cells.append(Cell("extra", extra, gamma.intersect_subspace(cone_over(extra).rays)))
+    elif mutation != "none":
+        if mutation == "outside-gamma":
+            i = draw(st.sampled_from([i for i, c in enumerate(cells) if c.polytope.dim > 0]))
+        else:
+            i = draw(st.integers(0, len(cells) - 1))
+        cell = cells[i]
+        rows = list(cell.weight_group.basis)
+        if mutation == "index-2":
+            rows[-1] = tuple(2 * x for x in rows[-1])
+        elif mutation == "wrong-rank":
+            del rows[draw(st.sampled_from([0, -1]))]
+        else:
+            rows = Lattice.standard(rank + 1).intersect_subspace(cell.cone().rays).basis
+        cells[i] = Cell(cell.id, cell.polytope, Lattice(rank + 1, rows))
+    return mutation, SSVComplex(rank, gamma, cells, base.maximal_ids)
+
+
+def _report(report):
+    checks = tuple((c.name, c.passed, c.witness) for c in report.checks)
+    return checks, report.moment_set_convex, report.cohen_macaulay
+
+
+def test_validation_matches_oracle():
+    failed = set()
+
+    @EXAMPLES
+    @given(mutated_subdivisions())
+    def check(case):
+        _, complex_ = case
+        report = _report(validate_complex(complex_))
+        assert report == _report(oracle.validate_complex(complex_))
+        failed.update(name for name, passed, _ in report[0] if not passed)
+
+    check()
+    # every check failed somewhere, so both loops that validation skips when
+    # earlier checks pass were run and compared
+    assert failed == {
+        "cell-spans",
+        "pairwise-intersections",
+        "containment-is-face",
+        "weight-groups-direct-summands",
+        "face-restrictions-agree",
+    }

@@ -15,7 +15,9 @@ alternating from seed to seed, so that both sides meet the same load on the
 host.  The runs of this checkout go to ``BENCH_<label>.json`` and, with
 ``--root``, those of the other to ``BENCH_parent.json``, both at the root of
 this checkout.  Each file holds every run and, per workload, the median of
-each end-to-end metric, the Python version and ``nproc``; with ``--root``,
+each end-to-end metric and of ``attempted``, the operations run (perfbench
+keeps every round's outputs, so peak memory grows with them), the Python
+version and ``nproc``; with ``--root``,
 ``BENCH_<label>.json`` also counts, per metric, the pairs in which this
 checkout read lower and gives the quartiles of the parent's runs.  perfbench
 itself is only invoked, never changed.
@@ -99,7 +101,11 @@ def _report(label, sides, name):
         "nproc": len(os.sched_getaffinity(0)),
         "seeds": list(SEEDS),
         "workloads": {
-            workload: {"metrics": summarize(runs[name]), "runs": runs[name]}
+            workload: {
+                "attempted": statistics.median(run["attempted"] for run in runs[name]),
+                "metrics": summarize(runs[name]),
+                "runs": runs[name],
+            }
             for workload, runs in sides.items()
         },
     }
@@ -131,7 +137,8 @@ def main(argv=None):
                 all_ok = all_ok and run["correct"] and run["failed"] == 0
                 wall = run["metrics"].get("wall_s", {}).get("value")
                 print(f"{workload} seed {seed} {name}: correct={run['correct']} "
-                      f"failed={run['failed']} wall_s={wall}", flush=True)
+                      f"attempted={run['attempted']} failed={run['failed']} wall_s={wall}",
+                      flush=True)
     report = _report(args.label, sides, "change")
     if args.root:
         for workload, runs in sides.items():
