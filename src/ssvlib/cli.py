@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 domain failure (with the witness in the report),
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -342,6 +343,7 @@ def _add_common(parser, top=False):
     parser.add_argument("--out", **({"default": None} if top else kwargs))
 
 
+@functools.cache  # parse_args keeps no state on the parser: one per process
 def build_parser():
     parser = _Parser(prog="ssv", description=__doc__)
     _add_common(parser, top=True)

@@ -157,11 +157,16 @@ def document_to_complex(doc):
     root_label = doc.get("root_datum")
     if root_label is not None and not isinstance(root_label, str):
         raise DocumentError("root_datum must be a string", "root_datum")
-    try:
-        complex_ = SSVComplex(rank, gamma, cells, tuple(maximal))
-    except ValueError as exc:
-        raise DocumentError(str(exc), "maximal") from None
-    return complex_, root_label
+    # the constructor's own checks, here so that each names the field at fault
+    ids = set()
+    for i, cell in enumerate(cells):
+        if cell.id in ids:
+            raise DocumentError(f"duplicate cell id {cell.id!r}", f"cells[{i}].id")
+        ids.add(cell.id)
+    for i, m in enumerate(maximal):
+        if m not in ids:
+            raise DocumentError(f"maximal id {m!r} is not a cell", f"maximal[{i}]")
+    return SSVComplex(rank, gamma, cells, tuple(maximal)), root_label
 
 
 def complex_to_document(complex_, root_datum=None):

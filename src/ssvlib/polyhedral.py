@@ -641,23 +641,24 @@ def _simplicial_box_points(rays):
 
 def _triangulate_rays(rays):
     """Index sets of a triangulation of a pointed full-rank ray list."""
-    k = mat_rank(rays)
+    return _pull_triangulation(rays, list(range(len(rays))), mat_rank(rays))
 
-    def recurse(active, rank_needed):
-        if len(active) == rank_needed:
-            return [tuple(active)]
-        sub = Cone.from_rays(len(rays[0]), [rays[i] for i in active])
-        apex = active[0]
-        out = []
-        for n in sub.inequalities:
-            if vec_dot(n, rays[apex]) == 0:
-                continue
-            wall = [i for i in active if vec_dot(n, rays[i]) == 0]
-            for simplex in recurse(wall, rank_needed - 1):
-                out.append(tuple([apex] + list(simplex)))
-        return out
 
-    return recurse(list(range(len(rays))), k)
+def _pull_triangulation(rays, active, rank_needed):
+    # cone the first active ray over each facet it is not on, recursively;
+    # module level, since a self-calling closure is a reference cycle per call
+    if len(active) == rank_needed:
+        return [tuple(active)]
+    sub = Cone.from_rays(len(rays[0]), [rays[i] for i in active])
+    apex = active[0]
+    out = []
+    for n in sub.inequalities:
+        if vec_dot(n, rays[apex]) == 0:
+            continue
+        wall = [i for i in active if vec_dot(n, rays[i]) == 0]
+        for simplex in _pull_triangulation(rays, wall, rank_needed - 1):
+            out.append(tuple([apex] + list(simplex)))
+    return out
 
 
 def hilbert_basis(cone, gamma=None):

@@ -1,0 +1,43 @@
+"""`tools/bench.py`: the bound verdicts it prints after a paired run."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location("bench_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(**series):
+    count = len(next(iter(series.values())))
+    return [
+        {"metrics": {name: {"value": values[i], "unit": "x"} for name, values in series.items()}}
+        for i in range(count)
+    ]
+
+
+def test_verdicts_read_the_median_ratio_against_the_bound():
+    bench = _bench()
+    end_to_end = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mib", "better": "lower", "bound": 0.05},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.1},
+        {"name": "absent", "better": "lower", "bound": 0.25},
+    ]
+    parent = _runs(wall_s=[2.0, 1.0, 9.0], peak_rss_mib=[20.0, 20.0, 21.0], ops_per_s=[10.0, 10.0, 10.0])
+    change = _runs(wall_s=[0.5, 0.4, 0.6], peak_rss_mib=[21.2, 21.0, 30.0], ops_per_s=[8.0, 9.5, 9.0])
+    out = bench.verdicts(change, parent, end_to_end)
+    assert set(out) == {"wall_s", "peak_rss_mib", "ops_per_s"}
+    assert out["wall_s"]["ratio"] == 0.25 and out["wall_s"]["within_bound"]
+    # 21.2 / 20 = 1.06: six percent up against a five percent bound
+    assert abs(out["peak_rss_mib"]["ratio"] - 1.06) < 1e-12
+    assert not out["peak_rss_mib"]["within_bound"]
+    assert out["ops_per_s"]["ratio"] == 0.9 and out["ops_per_s"]["within_bound"]
+    # exactly at the bound still keeps it
+    edge = bench.verdicts(_runs(wall_s=[1.25]), _runs(wall_s=[1.0]), end_to_end[:1])
+    assert edge["wall_s"]["within_bound"]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -261,7 +263,8 @@ def test_matroid_thread_count_determinism():
     assert json.loads(one.stdout)["results"] == json.loads(four.stdout)["results"]
 
 
-P1XP1 = str(Path(__file__).resolve().parent.parent / "fixtures" / "p1xp1.json")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+P1XP1 = str(FIXTURES / "p1xp1.json")
 
 
 @pytest.mark.parametrize(
@@ -315,3 +318,92 @@ def test_sections_root_datum_of_larger_rank_is_a_usage_error():
     res = run_cli(["sections", P1XP1, "--degree", "1", "--root-datum", "B2"])
     assert res.returncode == 2
     assert res.stderr == "usage error: weights have 1 coordinates, root datum rank is 2\n"
+
+
+def run_main(argv, stdin=None):
+    """`cli.main` in this process: (exit code, stdout, stderr)."""
+    from ssvlib import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _edited_two_triangles(tmp_path, name, edit):
+    doc = json.loads((FIXTURES / "two_triangles.json").read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(dumps(doc))
+    return str(path)
+
+
+def test_parser_reuse_matches_a_fresh_parser_per_call(tmp_path):
+    from ssvlib.cli import build_parser
+
+    triangles = str(FIXTURES / "two_triangles.json")
+    segment = str(FIXTURES / "segment04.json")
+    halfint = str(FIXTURES / "halfint_heights.json")
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    duplicated = _edited_two_triangles(
+        tmp_path, "dup.json", lambda d: d["cells"].append(d["cells"][0])
+    )
+    calls = [
+        # (argv, stdin, exit code)
+        (["--format", "json", "validate", triangles], None, 0),
+        (["validate", triangles, "--format", "json"], None, 0),
+        (["sections", str(FIXTURES / "sl2_chain.json"), "--degree", "1"], None, 0),
+        (["cohomology", triangles, "--mode", "toric"], None, 0),
+        (["degenerate", segment, "--heights", halfint], None, 1),
+        (["--format", "json", "degenerate", segment, "--heights", halfint, "--base-change", "auto"], None, 0),
+        (["matroid", "weightset", "--r", "2", "--ranks", "1,1,1,1"], None, 0),
+        (["matroid", "subdivisions", "--r", "2", "--ranks", "1,1,1,1", "--cap", "1"], None, 0),
+        (["matroid", "thincell", "--r", "2", "--ranks", "1,1,1,1", "--d", '{"01": 1}', "--format", "json"], None, 0),
+        (["moment", "--root-datum", "A2", "--weight", "1,0", "--admissible"], None, 0),
+        (["snf", "--format", "json"], "[[2, 4], [6, 8]]", 0),
+        (["catalog", "--kind", "P1xP1", "--m", "2", "--n", "1"], None, 0),
+        (["--format", "json", "catalog", "--kind", "Fe", "--e", "2", "--n-minus", "3", "--n-plus", "4"], None, 1),
+        (["moment", "--root-datum", "A2", "--weight", "-1,1"], None, 2),
+        (["frobnicate"], None, 2),
+        (["validate", str(garbage)], None, 2),
+        (["validate", duplicated, "--format", "json"], None, 2),
+        (["validate", triangles], None, 0),
+    ]
+
+    build_parser.cache_clear()
+    first = [run_main(argv, stdin) for argv, stdin, _ in calls]
+    second = [run_main(argv, stdin) for argv, stdin, _ in calls]
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(calls) - 1)
+
+    reference = []
+    for argv, stdin, _ in calls:
+        build_parser.cache_clear()
+        reference.append(run_main(argv, stdin))
+    assert first == second == reference
+    assert [code for code, _, _ in first] == [code for _, _, code in calls]
+
+
+@pytest.mark.parametrize(
+    "edit, stderr",
+    [
+        (
+            lambda d: d["cells"].append(d["cells"][0]),
+            "document error: cells[7].id: duplicate cell id 't1'\n",
+        ),
+        (
+            lambda d: d["maximal"].append("nope"),
+            "document error: maximal[2]: maximal id 'nope' is not a cell\n",
+        ),
+    ],
+    ids=["duplicate-cell-id", "unknown-maximal-id"],
+)
+def test_complex_errors_name_the_field_at_fault(tmp_path, edit, stderr):
+    path = _edited_two_triangles(tmp_path, "edited.json", edit)
+    assert run_main(["validate", path]) == (2, "", stderr)

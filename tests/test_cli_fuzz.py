@@ -17,19 +17,15 @@ drive validation through the checks it otherwise skips, and they too must
 end in exit code 0, 1 or 2 without a traceback and repeat themselves.
 """
 
-import contextlib
 import copy
-import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from ssvlib import cli
+from test_cli import run_main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COMPLEXES = [str(FIXTURES / f"{n}.json") for n in ("p1xp1", "segment04", "sl2_chain", "two_triangles")]
@@ -133,26 +129,14 @@ def invocations(draw, command):
     return argv, draw(STDIN)
 
 
-def _run(argv, stdin):
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids=" ".join)
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cli_exits_cleanly_and_repeats(command, data):
     argv, stdin = data.draw(invocations(command))
-    first = _run(argv, stdin)
+    first = run_main(argv, stdin)
     assert first[0] in (0, 1, 2)
-    assert _run(argv, stdin) == first
+    assert run_main(argv, stdin) == first
 
 
 # hypothesis leans to the first entry of a list: the richest complex goes first
@@ -259,7 +243,7 @@ def test_fuzzed_documents_exit_cleanly_and_repeat(command, data):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
         argv = [command, str(path)] + options
-        first = _run(argv, "")
+        first = run_main(argv, "")
         assert first[0] in (0, 1, 2)
         assert "Traceback" not in first[2]
-        assert _run(argv, "") == first
+        assert run_main(argv, "") == first

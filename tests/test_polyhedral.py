@@ -323,3 +323,23 @@ def test_hilbert_basis_over_sublattices():
         if basis:
             ok, _ = is_saturated_monoid(AffineMonoid(gamma, basis))
             assert ok
+
+
+def test_triangulating_rays_leaves_no_reference_cycle():
+    import gc
+
+    from ssvlib.polyhedral import _triangulate_rays
+
+    rays = [(1,) + v for v in itertools.product((0, 1), repeat=3)]
+    gc.collect()
+    gc.disable()
+    try:
+        simplices = _triangulate_rays(rays)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    # pulling from ray 0: the order the Hilbert-basis candidates come in
+    assert simplices == [
+        (0, 4, 6, 7), (0, 4, 5, 7), (0, 2, 6, 7), (0, 2, 3, 7), (0, 1, 5, 7), (0, 1, 3, 7)
+    ]

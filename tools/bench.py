@@ -19,8 +19,11 @@ each end-to-end metric and of ``attempted``, the operations run (perfbench
 keeps every round's outputs, so peak memory grows with them), the Python
 version and ``nproc``; with ``--root``,
 ``BENCH_<label>.json`` also counts, per metric, the pairs in which this
-checkout read lower and gives the quartiles of the parent's runs.  perfbench
-itself is only invoked, never changed.
+checkout read lower and gives the quartiles of the parent's runs, and holds,
+per end-to-end metric of ``BENCHMARK.json``, the ratio of this checkout's
+median to the parent's and whether that ratio keeps the metric's bound; a
+table of these verdicts is printed last.  perfbench itself is only invoked,
+never changed.
 """
 
 import argparse
@@ -94,6 +97,35 @@ def compare(runs, parent_runs):
     return out
 
 
+def verdicts(runs, parent_runs, end_to_end):
+    """Per end-to-end metric: change/parent ratio of the medians, and whether it keeps the bound.
+
+    ``end_to_end`` is the list of that name in BENCHMARK.json.  A metric whose
+    ``better`` is "lower" may rise by at most ``bound`` (a fraction of the
+    parent's median), one whose ``better`` is "higher" may fall by at most that.
+    """
+    out = {}
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        change, parent = _values(runs, name), _values(parent_runs, name)
+        if not change or not parent:
+            continue
+        ratio = statistics.median(change) / statistics.median(parent)
+        within = ratio <= 1 + bound if metric["better"] == "lower" else ratio >= 1 - bound
+        out[name] = {"ratio": ratio, "bound": bound, "better": metric["better"],
+                     "within_bound": within}
+    return out
+
+
+def _print_verdicts(report):
+    print(f"{'workload':<14}{'metric':<14}{'ratio':>8}{'bound':>8}  verdict")
+    for workload, entry in report["workloads"].items():
+        for name, v in entry["verdicts"].items():
+            sign = "+" if v["better"] == "lower" else "-"
+            print(f"{workload:<14}{name:<14}{v['ratio']:>8.3f}{sign + format(v['bound'], '.0%'):>8}  "
+                  f"{'within' if v['within_bound'] else 'OUT OF BOUND'}")
+
+
 def _report(label, sides, name):
     return {
         "label": label,
@@ -141,10 +173,16 @@ def main(argv=None):
                       flush=True)
     report = _report(args.label, sides, "change")
     if args.root:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+            end_to_end = json.load(handle)["end_to_end"]
         for workload, runs in sides.items():
-            report["workloads"][workload]["pairs"] = compare(runs["change"], runs["parent"])
+            entry = report["workloads"][workload]
+            entry["pairs"] = compare(runs["change"], runs["parent"])
+            entry["verdicts"] = verdicts(runs["change"], runs["parent"], end_to_end)
         _write(_report("parent", sides, "parent"))
     _write(report)
+    if args.root:
+        _print_verdicts(report)
     return 0 if all_ok else 1
 
 
