@@ -21,6 +21,8 @@ from .errors import (
 from .lattice import Lattice, is_direct_summand
 from .linalg import clear_denominators, integer_rref, mat_det, solve_rational
 from .polyhedral import (
+    _intersection_vertices,
+    _is_face,
     _triangulate_rays,
     cone_over,
     convex_hull,
@@ -229,7 +231,7 @@ def validate_complex(complex_):
     are common faces and stored cells; containment agrees with the face
     relation; weight groups are direct summands of the ambient group and
     restrict consistently to common faces.  The convexity flag decides the
-    Cohen-Macaulay flag.
+    Cohen-Macaulay flag.  Each intersection is a vertex set, never hulled.
 
     Two checks follow from earlier ones and search for a witness only when
     those fail.  If every pairwise intersection is a common face, a cell
@@ -254,13 +256,13 @@ def validate_complex(complex_):
             if a.polytope == b.polytope:
                 inter_witness = f"cells {a.id},{b.id} share a polytope"
                 break
-            inter = intersect_polytopes(a.polytope, b.polytope)
-            if inter is None:
+            inter = _intersection_vertices(a.polytope, b.polytope)
+            if not inter:
                 continue
-            if not (inter.is_face_of(a.polytope) and inter.is_face_of(b.polytope)):
+            if not (_is_face(inter, a.polytope) and _is_face(inter, b.polytope)):
                 inter_witness = f"cells {a.id},{b.id} intersect but not in a common face"
                 break
-            stored = complex_.cell_with_polytope(inter)
+            stored = complex_.cell_with_vertices(inter)
             if stored is None:
                 inter_witness = f"intersection of {a.id},{b.id} is not a cell"
                 break

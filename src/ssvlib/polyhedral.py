@@ -20,8 +20,9 @@ sits between the kernel and every caller:
 A hull is the cone over its homogenized points (1, p): the facets of that
 cone are the facets of the polytope, and a point is a vertex exactly when
 the facets through it meet in it alone (extreme rays of a pointed cone
-likewise).  ``from_halfspaces`` homogenizes: the vertices of {n.x >= c} are
-the rays (s, s v), s > 0, of the cone -c s + n.x >= 0, s >= 0.
+likewise).  ``_halfspace_vertices`` homogenizes: the vertices of {n.x >= c}
+are the rays (s, s v), s > 0, of the cone -c s + n.x >= 0, s >= 0, so a
+pairwise intersection is a vertex set read off the rays, with no hull.
 ``degeneration.regular_subdivision`` reads its cells off the lower facets of
 the cone over the lifted points (1, p, h).
 """
@@ -236,13 +237,6 @@ class Polytope:
     def contains_polytope(self, other):
         return all(self.contains_point(v) for v in other.vertices)
 
-    def barycenter(self):
-        k = len(self.vertices)
-        return tuple(
-            sum(Fraction(v[i]) for v in self.vertices) / k
-            for i in range(self.ambient_rank)
-        )
-
     def facet_vertex_sets(self):
         """Vertex-index sets of the facets, in the order of ``inequalities``."""
         n = len(self.vertices)
@@ -269,19 +263,8 @@ class Polytope:
         return convex_hull([self.vertices[i] for i in sorted(vertex_indices)])
 
     def is_face_of(self, other):
-        """True iff this polytope is a face of the other one.
-
-        Faces are vertex-index sets closed under the facet meet: an index
-        set is a face exactly when it equals the intersection of the facet
-        vertex sets containing it (the empty intersection is every vertex).
-        """
-        if self.ambient_rank != other.ambient_rank:
-            return False
-        index = {v: i for i, v in enumerate(other.vertices)}
-        if any(v not in index for v in self.vertices):
-            return False
-        mine = sum(1 << index[v] for v in self.vertices)
-        return _closure(mine, other._facet_masks, len(index)) == mine
+        """True iff this polytope is a face of the other one."""
+        return _is_face(self.vertices, other)
 
     def scaled(self, factor):
         """The dilate factor * P for a positive rational factor."""
@@ -355,51 +338,79 @@ def convex_hull(points):
     )
 
 
+def _is_face(vertices, polytope):
+    """True iff the points are exactly the vertices of a face of the polytope.
+
+    Faces are vertex-index sets closed under the facet meet: an index set is
+    a face exactly when it equals the intersection of the facet vertex sets
+    containing it (the empty intersection is every vertex).
+    """
+    index = {v: i for i, v in enumerate(polytope.vertices)}
+    if any(v not in index for v in vertices):
+        return False
+    mine = sum(1 << index[v] for v in vertices)
+    return _closure(mine, polytope._facet_masks, len(index)) == mine
+
+
+def _halfspace_vertices(ambient, ineqs, eqs):
+    """Sorted vertices of the bounded region n . x >= c, e . x == d; () if empty.
+
+    They are the rays (s, s v), s > 0, of the pointed cone -c s + n . x >= 0
+    (== 0 for equations), s >= 0.  ``_pointed_rays`` returns extreme rays
+    only, so each is a vertex and no hull needs to sort them out.
+    """
+
+    def homogenized(constraints):
+        return [clear_denominators((-c,) + tuple(n)) for n, c in constraints]
+
+    s_nonnegative = [(1,) + (0,) * ambient]
+    rays = _pointed_rays(ambient + 1, homogenized(ineqs) + s_nonnegative, homogenized(eqs))
+    return tuple(sorted(tuple(Fraction(x, s) for x in v) for s, *v in rays if s > 0))
+
+
 def from_halfspaces(ambient_rank, inequalities, equations=()):
     """Polytope cut out by the constraints, or None when empty.
 
     The constraint region must be bounded; every caller intersects bounded
     sets (or a bounded set with a chamber that leaves it bounded).  Its
-    vertices v are the rays (s, s v), s > 0, of the homogenized cone
-    -c s + n . x >= 0 (== 0 for equations), s >= 0.
+    vertices are read off the rays of the homogenized cone
+    (``_halfspace_vertices``) and hulled once for the facets.
     """
+    v = _halfspace_vertices(ambient_rank, inequalities, equations)
+    return convex_hull(v) if v else None
 
-    def homogenized(constraints):
-        return [clear_denominators((-Fraction(c),) + tuple(n)) for n, c in constraints]
 
-    s_nonnegative = (1,) + (0,) * ambient_rank
-    rays = _pointed_rays(
-        ambient_rank + 1,
-        homogenized(inequalities) + [s_nonnegative],
-        homogenized(equations),
+def _intersection_vertices(p, q):
+    """Sorted vertices of the intersection of two polytopes; () when empty."""
+    if p.ambient_rank != q.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    return _halfspace_vertices(
+        p.ambient_rank, p.inequalities + q.inequalities, p.equations + q.equations
     )
-    vertices = [tuple(Fraction(x, s) for x in v) for s, *v in rays if s > 0]
-    return convex_hull(vertices) if vertices else None
 
 
 def intersect_polytopes(p, q):
     """Intersection polytope, or None when empty."""
-    if p.ambient_rank != q.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    return from_halfspaces(
-        p.ambient_rank,
-        tuple(p.inequalities) + tuple(q.inequalities),
-        tuple(p.equations) + tuple(q.equations),
-    )
+    v = _intersection_vertices(p, q)
+    return convex_hull(v) if v else None
+
+
+def _barycenter(points):
+    return tuple(sum(c, Fraction(0)) / len(points) for c in zip(*points))
 
 
 def relative_interiors_meet(p, q):
     """Exact test that relint(p) and relint(q) intersect.
 
-    The barycenter of the intersection lies in its relative interior, and a
-    convex subset of a polytope that misses the relative interior lies inside
-    a single facet; so testing the barycenter against both facet systems is
-    exact.
+    The barycenter of the intersection's vertices lies in its relative
+    interior, and a convex subset of a polytope that misses the relative
+    interior lies inside a single facet; so testing the barycenter against
+    both facet systems is exact.
     """
-    inter = intersect_polytopes(p, q)
-    if inter is None:
+    inter = _intersection_vertices(p, q)
+    if not inter:
         return False
-    b = inter.barycenter()
+    b = _barycenter(inter)
     return p.relint_contains(b) and q.relint_contains(b)
 
 

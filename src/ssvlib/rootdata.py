@@ -10,7 +10,8 @@ from functools import lru_cache
 
 from .errors import NotDominantError, RankError
 from .linalg import clear_denominators, mat_identity, mat_mul, solve_rational, vec_dot
-from .polyhedral import convex_hull, from_halfspaces, relative_interiors_meet
+from .polyhedral import _barycenter, _halfspace_vertices, convex_hull, from_halfspaces
+from .polyhedral import relative_interiors_meet
 
 RANK_CAP = 4
 
@@ -254,16 +255,12 @@ def is_w_admissible(datum, polytope):
     if datum.rank != polytope.ambient_rank:
         raise RankError("polytope rank does not match the root datum")
     chamber = datum.chamber_inequalities()
-    meet = from_halfspaces(
-        datum.rank,
-        tuple(polytope.inequalities) + tuple(chamber),
-        polytope.equations,
+    meet = _halfspace_vertices(
+        datum.rank, polytope.inequalities + tuple(chamber), polytope.equations
     )
-    if meet is None:
-        return False
     # A convex subset of a polytope avoiding its relative interior lies in a
-    # single facet, so the barycenter decides membership exactly.
-    if not polytope.relint_contains(meet.barycenter()):
+    # single facet, so the barycenter of the meet's vertices decides it exactly.
+    if not meet or not polytope.relint_contains(_barycenter(meet)):
         return False
     # An invertible map sends vertices to vertices, so a translate is known by
     # its sorted vertex images; one common denominator keeps the keys exact.

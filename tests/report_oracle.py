@@ -10,6 +10,12 @@ the monoid and its integrality check before wrapping the cells.
 images not equal to one kept before.  ``validate_complex`` runs its
 containment and face-restriction loops on every input, also when the
 checks before them already imply that these pass.
+
+``from_halfspaces``, ``intersect_polytopes``, ``barycenter`` and
+``relative_interiors_meet`` are the library's earlier versions too: each
+intersection is hulled again from the rays of its homogenized cone, and
+the barycenter is read off that polytope, so no check here runs the
+library's pairwise vertex path (``polyhedral._halfspace_vertices``).
 """
 
 from fractions import Fraction
@@ -31,10 +37,65 @@ from ssvlib.degeneration import (
 )
 from ssvlib.errors import ContainmentError, NotReducedError, RankError
 from ssvlib.lattice import is_direct_summand
-from ssvlib.polyhedral import AffineMonoid, cone_over, from_halfspaces, hilbert_basis
-from ssvlib.polyhedral import intersect_polytopes
-from ssvlib.polyhedral import relative_interiors_meet
+from ssvlib.linalg import clear_denominators
+from ssvlib.polyhedral import AffineMonoid, _pointed_rays, cone_over, convex_hull, hilbert_basis
 from ssvlib.rootdata import root_datum
+
+
+def from_halfspaces(ambient_rank, inequalities, equations=()):
+    """Polytope cut out by the constraints, or None when empty.
+
+    The constraint region must be bounded; every caller intersects bounded
+    sets (or a bounded set with a chamber that leaves it bounded).  Its
+    vertices v are the rays (s, s v), s > 0, of the homogenized cone
+    -c s + n . x >= 0 (== 0 for equations), s >= 0.
+    """
+
+    def homogenized(constraints):
+        return [clear_denominators((-Fraction(c),) + tuple(n)) for n, c in constraints]
+
+    s_nonnegative = (1,) + (0,) * ambient_rank
+    rays = _pointed_rays(
+        ambient_rank + 1,
+        homogenized(inequalities) + [s_nonnegative],
+        homogenized(equations),
+    )
+    vertices = [tuple(Fraction(x, s) for x in v) for s, *v in rays if s > 0]
+    return convex_hull(vertices) if vertices else None
+
+
+def intersect_polytopes(p, q):
+    """Intersection polytope, or None when empty."""
+    if p.ambient_rank != q.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    return from_halfspaces(
+        p.ambient_rank,
+        tuple(p.inequalities) + tuple(q.inequalities),
+        tuple(p.equations) + tuple(q.equations),
+    )
+
+
+def barycenter(polytope):
+    k = len(polytope.vertices)
+    return tuple(
+        sum(Fraction(v[i]) for v in polytope.vertices) / k
+        for i in range(polytope.ambient_rank)
+    )
+
+
+def relative_interiors_meet(p, q):
+    """Exact test that relint(p) and relint(q) intersect.
+
+    The barycenter of the intersection lies in its relative interior, and a
+    convex subset of a polytope that misses the relative interior lies inside
+    a single facet; so testing the barycenter against both facet systems is
+    exact.
+    """
+    inter = intersect_polytopes(p, q)
+    if inter is None:
+        return False
+    b = barycenter(inter)
+    return p.relint_contains(b) and q.relint_contains(b)
 
 
 def special_fiber_reduced(height, monoid):
@@ -110,7 +171,7 @@ def is_w_admissible(datum, polytope):
         return False
     # A convex subset of a polytope avoiding its relative interior lies in a
     # single facet, so the barycenter decides membership exactly.
-    if not polytope.relint_contains(meet.barycenter()):
+    if not polytope.relint_contains(barycenter(meet)):
         return False
     translates = []
     for m in root_datum(datum.label).weyl_matrices():

@@ -13,15 +13,17 @@ def _bench():
     return module
 
 
-def _runs(**series):
+def _runs(attempted=None, **series):
     count = len(next(iter(series.values())))
+    attempted = attempted or [1] * count
     return [
-        {"metrics": {name: {"value": values[i], "unit": "x"} for name, values in series.items()}}
+        {"attempted": attempted[i],
+         "metrics": {name: {"value": values[i], "unit": "x"} for name, values in series.items()}}
         for i in range(count)
     ]
 
 
-def test_verdicts_read_the_median_ratio_against_the_bound():
+def test_verdicts_read_the_median_ratio_against_the_bound(capsys):
     bench = _bench()
     end_to_end = [
         {"name": "wall_s", "better": "lower", "bound": 0.25},
@@ -29,8 +31,10 @@ def test_verdicts_read_the_median_ratio_against_the_bound():
         {"name": "ops_per_s", "better": "higher", "bound": 0.1},
         {"name": "absent", "better": "lower", "bound": 0.25},
     ]
-    parent = _runs(wall_s=[2.0, 1.0, 9.0], peak_rss_mib=[20.0, 20.0, 21.0], ops_per_s=[10.0, 10.0, 10.0])
-    change = _runs(wall_s=[0.5, 0.4, 0.6], peak_rss_mib=[21.2, 21.0, 30.0], ops_per_s=[8.0, 9.5, 9.0])
+    parent = _runs(wall_s=[2.0, 1.0, 9.0], peak_rss_mib=[20.0, 20.0, 21.0], ops_per_s=[10.0, 10.0, 10.0],
+                   attempted=[400, 380, 300])
+    change = _runs(wall_s=[0.5, 0.4, 0.6], peak_rss_mib=[21.2, 21.0, 30.0], ops_per_s=[8.0, 9.5, 9.0],
+                   attempted=[500, 475, 900])
     out = bench.verdicts(change, parent, end_to_end)
     assert set(out) == {"wall_s", "peak_rss_mib", "ops_per_s"}
     assert out["wall_s"]["ratio"] == 0.25 and out["wall_s"]["within_bound"]
@@ -38,6 +42,15 @@ def test_verdicts_read_the_median_ratio_against_the_bound():
     assert abs(out["peak_rss_mib"]["ratio"] - 1.06) < 1e-12
     assert not out["peak_rss_mib"]["within_bound"]
     assert out["ops_per_s"]["ratio"] == 0.9 and out["ops_per_s"]["within_bound"]
+    # the peak's verdict, and only it, reads against the operations run: 500 / 380
+    assert out["peak_rss_mib"]["attempted_ratio"] == 500 / 380
+    assert all("attempted_ratio" not in out[name] for name in ("wall_s", "ops_per_s"))
+    bench._print_verdicts({"workloads": {"w": {"verdicts": out}}})
+    peak_line = next(line for line in capsys.readouterr().out.splitlines() if "peak_rss_mib" in line)
+    assert peak_line.endswith("OUT OF BOUND  attempted 1.316")
+    # a parent that attempted nothing has no ratio
+    idle = bench.verdicts(change, _runs(peak_rss_mib=[20.0] * 3, attempted=[0] * 3), end_to_end[1:2])
+    assert idle["peak_rss_mib"]["attempted_ratio"] is None
     # exactly at the bound still keeps it
     edge = bench.verdicts(_runs(wall_s=[1.25]), _runs(wall_s=[1.0]), end_to_end[:1])
     assert edge["wall_s"]["within_bound"]

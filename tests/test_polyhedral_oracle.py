@@ -22,6 +22,8 @@ from ssvlib.lattice import Lattice, integer_kernel
 from ssvlib.linalg import integer_rref, vec_dot
 from ssvlib.polyhedral import (
     Cone,
+    _intersection_vertices,
+    _is_face,
     _kernel_line,
     _supporting_normals,
     cone_from_halfspaces,
@@ -157,10 +159,15 @@ def test_intersect_polytopes_matches_oracle(case, data):
     others = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=6))
     p, q = convex_hull(points), convex_hull(others)
     mine, reference = intersect_polytopes(p, q), oracle.intersect_polytopes(p, q)
+    vertices = _intersection_vertices(p, q)
     if reference is None:
         assert mine is None
+        assert vertices == ()
     else:
         assert _polytope_parts(mine) == _polytope_parts(reference)
+        # the vertex set alone, as validation reads it, and its face test
+        assert vertices == reference.vertices
+        assert _is_face(vertices, p) == reference.is_face_of(p)
 
 
 @EXAMPLES

@@ -28,7 +28,7 @@ from ssvlib.degeneration import (
 )
 from ssvlib.errors import DomainError, NotReducedError
 from ssvlib.lattice import Lattice
-from ssvlib.polyhedral import AffineMonoid, convex_hull, cone_over, from_halfspaces, hilbert_basis
+from ssvlib.polyhedral import AffineMonoid, convex_hull, cone_over, hilbert_basis
 from ssvlib.rootdata import dominant_hull, is_w_admissible, root_datum, weyl_orbit
 
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -112,12 +112,12 @@ def test_admissibility_of_orbit_hulls_matches_oracle(case):
 
 def _reaches_pairwise_test(datum, polytope):
     """The relative interior meets the chamber and W moves the polytope."""
-    meet = from_halfspaces(
+    meet = oracle.from_halfspaces(
         datum.rank,
         tuple(polytope.inequalities) + tuple(datum.chamber_inequalities()),
         polytope.equations,
     )
-    if meet is None or not polytope.relint_contains(meet.barycenter()):
+    if meet is None or not polytope.relint_contains(oracle.barycenter(meet)):
         return False
     return any(polytope.transformed(m) != polytope for m in datum.weyl_matrices())
 

@@ -22,7 +22,9 @@ version and ``nproc``; with ``--root``,
 checkout read lower and gives the quartiles of the parent's runs, and holds,
 per end-to-end metric of ``BENCHMARK.json``, the ratio of this checkout's
 median to the parent's and whether that ratio keeps the metric's bound; a
-table of these verdicts is printed last.  perfbench itself is only invoked,
+table of these verdicts is printed last.  The ``peak_rss_mib`` verdict also
+carries the same ratio for ``attempted``, so that a rise in the peak can be
+read against the operations completed.  perfbench itself is only invoked,
 never changed.
 """
 
@@ -103,7 +105,11 @@ def verdicts(runs, parent_runs, end_to_end):
     ``end_to_end`` is the list of that name in BENCHMARK.json.  A metric whose
     ``better`` is "lower" may rise by at most ``bound`` (a fraction of the
     parent's median), one whose ``better`` is "higher" may fall by at most that.
+    perfbench keeps every round's outputs, so ``peak_rss_mib`` grows with the
+    operations run; its verdict adds ``attempted_ratio``, the change/parent
+    ratio of the median ``attempted`` (None when the parent attempted none).
     """
+    done, parent_done = (statistics.median(r["attempted"] for r in rs) for rs in (runs, parent_runs))
     out = {}
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
@@ -114,6 +120,8 @@ def verdicts(runs, parent_runs, end_to_end):
         within = ratio <= 1 + bound if metric["better"] == "lower" else ratio >= 1 - bound
         out[name] = {"ratio": ratio, "bound": bound, "better": metric["better"],
                      "within_bound": within}
+        if name == "peak_rss_mib":
+            out[name]["attempted_ratio"] = done / parent_done if parent_done else None
     return out
 
 
@@ -122,8 +130,12 @@ def _print_verdicts(report):
     for workload, entry in report["workloads"].items():
         for name, v in entry["verdicts"].items():
             sign = "+" if v["better"] == "lower" else "-"
-            print(f"{workload:<14}{name:<14}{v['ratio']:>8.3f}{sign + format(v['bound'], '.0%'):>8}  "
-                  f"{'within' if v['within_bound'] else 'OUT OF BOUND'}")
+            line = (f"{workload:<14}{name:<14}{v['ratio']:>8.3f}{sign + format(v['bound'], '.0%'):>8}  "
+                    f"{'within' if v['within_bound'] else 'OUT OF BOUND'}")
+            if "attempted_ratio" in v:
+                done = v["attempted_ratio"]
+                line += f"  attempted {done:.3f}" if done is not None else "  attempted n/a"
+            print(line)
 
 
 def _report(label, sides, name):
