@@ -235,7 +235,11 @@ def regular_subdivision(polytope, points, heights):
     heights affinely dependent yields the trivial subdivision.  The lower
     facets are the facets of the cone over the lifted points (1, p, h) whose
     inward normal points up; heights affine on the points add a linear form
-    vanishing on that cone to the equations of the polytope.
+    vanishing on that cone to the equations of the polytope.  The polytope
+    keeps the points and cells of its subdivisions by value, for later ones
+    to share, and under the key ("masks", points) the cell of each lower
+    facet's bitmask of those points: a cell is the hull of the points on its
+    facet, so each mask is hulled once.
     """
     # one Fraction per coordinate value, shared by the points and their cells
     rational = {x: Fraction(x) for p in points for x in p}
@@ -251,8 +255,6 @@ def regular_subdivision(polytope, points, heights):
     # the points lie in the polytope: their hull is it iff they include its vertices
     if not set(polytope.vertices) <= set(pts):
         raise DegenerateLiftError("lift points must span the polytope")
-    # the polytope keeps the points and cells of its subdivisions by value, so
-    # that subdividing it again gives cells sharing them, not copies of them
     if polytope._shared is None:
         object.__setattr__(polytope, "_shared", {})
     shared = polytope._shared
@@ -261,11 +263,19 @@ def regular_subdivision(polytope, points, heights):
     facets, kernel = _dual(lifted, polytope.ambient_rank + 2)
     if len(kernel) > len(polytope.equations):
         return [polytope]
-    hulls = (convex_hull([p for i, p in enumerate(pts) if mask >> i & 1])
-             for n, mask in facets if n[-1] > 0)
-    cells = [shared.setdefault(c.vertices, c) for c in hulls]
+    by_mask = shared.setdefault(("masks", tuple(pts)), {})
+    for n, mask in facets:
+        if n[-1] > 0 and mask not in by_mask:
+            hull = convex_hull([p for i, p in enumerate(pts) if mask >> i & 1])
+            by_mask[mask] = shared.setdefault(hull.vertices, hull)
+    cells = [by_mask[mask] for n, mask in facets if n[-1] > 0]
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
+
+
+def subdivision_cell(polytope, vertices):
+    """The polytope's stored subdivision cell on these sorted vertices, else their hull."""
+    return (polytope._shared or {}).get(vertices) or convex_hull(vertices)
 
 
 def special_fiber_complex(gamma, polytope, points, heights):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from .errors import InvalidRankDataError, NonLatticeError, ParamError, SearchBudgetError
 from .linalg import canonical_direction, vec_sub
 from .polyhedral import convex_hull, in_convex_hull
-from .degeneration import regular_subdivision
+from .degeneration import regular_subdivision, subdivision_cell
 
 SEARCH_BUDGET = 200_000
 SYMMETRY_GROUP_CAP = 5_000
@@ -40,18 +40,6 @@ def weight_set(shape):
         if sum(combo) == shape.r:
             out.append(combo)
     return out
-
-
-def weight_set_size_oracle(shape):
-    """Coefficient of x^r in prod (1 + x + ... + x^rank); test oracle."""
-    poly = [1]
-    for m in shape.ranks:
-        fresh = [0] * (len(poly) + m)
-        for i, c in enumerate(poly):
-            for j in range(m + 1):
-                fresh[i + j] += c
-        poly = fresh
-    return poly[shape.r] if shape.r < len(poly) else 0
 
 
 class RankFunctionData:
@@ -263,7 +251,7 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
                     ]
                     key = frozenset(images)
                     if key not in found:
-                        image = tuple(convex_hull(vs) for vs in sorted(images))
+                        image = tuple(subdivision_cell(hull, vs) for vs in sorted(images))
                         found[key] = image
                         fresh.append(image)
             frontier = fresh

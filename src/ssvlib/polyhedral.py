@@ -184,7 +184,8 @@ class Polytope:
     polytope exactly.  Vertices are exactly the extreme points; each
     inequality's vertex indices are kept as a bitmask (``facet_vertex_sets``).
     ``_shared`` holds the points and cells of regular subdivisions of the
-    polytope by value (``degeneration.regular_subdivision``).
+    polytope by value, and per points tuple the cell of each lower-facet
+    bitmask of those points (``degeneration.regular_subdivision``).
     """
 
     __slots__ = (
@@ -346,9 +347,10 @@ def _is_face(vertices, polytope):
     containing it (the empty intersection is every vertex).
     """
     index = {v: i for i, v in enumerate(polytope.vertices)}
-    if any(v not in index for v in vertices):
+    found = [index.get(v) for v in vertices]
+    if None in found:
         return False
-    mine = sum(1 << index[v] for v in vertices)
+    mine = sum(1 << i for i in found)
     return _closure(mine, polytope._facet_masks, len(index)) == mine
 
 

@@ -13,6 +13,8 @@ import sys
 import time
 from fractions import Fraction
 
+from matroid_oracle import weight_set_size_oracle
+
 from ssvlib.cohomology import cohomology_invariants
 from ssvlib.complexes import (
     Cell,
@@ -38,7 +40,6 @@ from ssvlib.matroid import (
     enumerate_matroid_subdivisions,
     is_matroid_polytope,
     weight_set,
-    weight_set_size_oracle,
 )
 from ssvlib.polyhedral import (
     AffineMonoid,

@@ -174,6 +174,27 @@ def test_regular_subdivision_preconditions():
         regular_subdivision(square, [(0, 0), (1, 0), (0, 1), (2, 2)], [0, 0, 0, 0])
 
 
+def test_failed_entry_check_leaves_no_table_entry():
+    points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    bad = ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1), (2, 2)], points + [(0, 0)])
+    square = convex_hull(points)
+
+    def fail_all():
+        for pts in bad:
+            with pytest.raises(DegenerateLiftError):
+                regular_subdivision(square, pts, [0] * len(pts))
+
+    def entries():
+        return {k: set(v) if isinstance(v, dict) else v for k, v in square._shared.items()}
+
+    fail_all()
+    assert square._shared is None
+    regular_subdivision(square, points, [0, 0, 0, 1])
+    before = entries()
+    fail_all()
+    assert entries() == before
+
+
 def test_lifted_height_function_values():
     points = [(0,), (2,), (4,)]
     h = HeightFunction.from_lifted(points, [0, 0, 1])

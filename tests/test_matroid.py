@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from matroid_oracle import weight_set_size_oracle
 
+from ssvlib import degeneration, matroid
 from ssvlib.complexes import Cell, SSVComplex, complete_faces
 from ssvlib.errors import (
     InvalidRankDataError,
@@ -17,7 +19,6 @@ from ssvlib.matroid import (
     is_matroid_polytope,
     thin_cell_weight_set,
     weight_set,
-    weight_set_size_oracle,
 )
 from ssvlib.polyhedral import convex_hull, cone_over
 
@@ -143,6 +144,23 @@ def test_octahedron_subdivisions():
     trivial_key = frozenset({octa.vertices})
     got_keys = {frozenset(c.vertices for c in cells) for cells in subdivisions}
     assert got_keys == split_keys | {trivial_key}
+
+
+def test_octahedron_search_hulls_each_cell_once(monkeypatch):
+    # the height search meets the same lower-facet points again and again,
+    # and the symmetry closure meets the cells it found; each is hulled once
+    hulled = []
+
+    def counting(points):
+        hull = convex_hull(points)
+        hulled.append(hull.vertices)
+        return hull
+
+    monkeypatch.setattr(degeneration, "convex_hull", counting)
+    monkeypatch.setattr(matroid, "convex_hull", counting)
+    subdivisions = enumerate_matroid_subdivisions(octa_shape(), cap=2)
+    assert len(hulled) == len(set(hulled))
+    assert {c.vertices for cells in subdivisions for c in cells} <= set(hulled)
 
 
 def test_simplex_only_trivial():

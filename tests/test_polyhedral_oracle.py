@@ -6,8 +6,9 @@ inequalities, equations) must come out identical.  ``is_face_of`` is checked
 against the enumerated face lattice, ``face_vertex_sets``.  The kernel itself,
 double description, is compared with the exhaustive search it replaced, and
 its Bareiss kernel lines with the Smith-form ``integer_kernel``.  Regular
-subdivisions and the convexity flag of their cells are compared with the
-earlier versions that worked in frame coordinates.
+subdivisions, also several in turn of one polytope, and the convexity flag
+of their cells are compared with the earlier versions that worked in frame
+coordinates.
 """
 
 from fractions import Fraction
@@ -233,6 +234,36 @@ def test_regular_subdivision_matches_oracle(case):
     mine = regular_subdivision(convex_hull(points), points, heights)
     reference = oracle.regular_subdivision(oracle.convex_hull(points), points, heights)
     assert [_polytope_parts(c) for c in mine] == [_polytope_parts(c) for c in reference]
+
+
+@st.composite
+def height_runs(draw):
+    """(points, runs): one point set lifted by several height vectors in turn.
+
+    The second run is the first moved by an affine function, which has the
+    same lower facets, so it reads every cell from the polytope's table.
+    """
+    points, heights = draw(lifted_points())
+    size = len(points)
+    a, b = draw(integer), draw(st.tuples(*[integer] * len(points[0])))
+    moved = [h + a + vec_dot(b, p) for h, p in zip(heights, points)]
+    more = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    return points, [heights, moved] + draw(st.lists(more, min_size=1, max_size=3))
+
+
+@EXAMPLES
+@given(height_runs())
+def test_subdivisions_of_one_polytope_match_oracle(case):
+    # later runs take the cells of masks seen before from the table instead
+    # of hulling them; each run must still equal the oracle's
+    points, runs = case
+    polytope, reference_polytope = convex_hull(points), oracle.convex_hull(points)
+    results = []
+    for heights in runs:
+        results.append(regular_subdivision(polytope, points, heights))
+        reference = oracle.regular_subdivision(reference_polytope, points, heights)
+        assert [_polytope_parts(c) for c in results[-1]] == [_polytope_parts(c) for c in reference]
+    assert all(a is b for a, b in zip(results[0], results[1], strict=True))
 
 
 def _complex(polytopes):
