@@ -58,7 +58,7 @@ class AutData:
 class Cell:
     """One cell: moment polytope plus its graded weight group."""
 
-    __slots__ = ("id", "polytope", "weight_group", "aut", "_cone")
+    __slots__ = ("id", "polytope", "weight_group", "aut")
 
     def __init__(self, cell_id, polytope, weight_group, aut=None):
         if weight_group.ambient_rank != polytope.ambient_rank + 1:
@@ -67,7 +67,6 @@ class Cell:
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "weight_group", weight_group)
         object.__setattr__(self, "aut", aut)
-        object.__setattr__(self, "_cone", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cell is immutable")
@@ -76,10 +75,8 @@ class Cell:
         return f"Cell({self.id!r}, vertices={list(self.polytope.vertices)})"
 
     def cone(self):
-        """The cone over the polytope, built on first use (cells are immutable)."""
-        if self._cone is None:
-            object.__setattr__(self, "_cone", cone_over(self.polytope))
-        return self._cone
+        """The cone over the polytope, which the polytope itself keeps (``cone_over``)."""
+        return cone_over(self.polytope)
 
     def span_matches_weight_group(self):
         """Rational span of the cone equals the span of the weight group."""

@@ -17,6 +17,7 @@ from .errors import DegenerateLiftError, DomainError, NotReducedError
 from .linalg import clear_denominators, primitive, solve_rational, vec_dot
 from .polyhedral import (
     _dual,
+    _generators,
     AffineMonoid,
     Cone,
     cone_from_halfspaces,
@@ -129,41 +130,26 @@ def _affine_functional(rows, rhs, width):
     return tuple(sol[:width])
 
 
-def _max_domains(cone, height):
-    """Subcones of ``cone`` where each piece functional is the maximum."""
-    out = []
-    for j, pj in enumerate(height.pieces):
-        normals = list(cone.inequalities)
-        equations = list(cone.equations)
-        for i, pi in enumerate(height.pieces):
-            if i == j:
-                continue
-            diff = tuple(a - b for a, b in zip(pj.functional, pi.functional))
-            if any(x != 0 for x in diff):
-                normals.append(primitive(diff))
-        out.append(cone_from_halfspaces(cone.ambient_rank, normals, equations))
-    return out
-
-
 def _check_coverage(cone, height):
     """DomainError unless the pieces cover the cone.
 
-    On each region where a fixed piece functional realizes the global max,
-    all extreme rays must lie in a single piece domain with matching values;
-    the regions tile the cone, so this certifies coverage exactly.
+    On each region of the cone where a fixed piece functional realizes the
+    global max, all generators must lie in a single piece domain with
+    matching values; the regions tile the cone, and the piece domains are
+    convex cones on which the pieces are linear, so this certifies coverage
+    exactly, whichever generators of a region are read.
     """
-    for dom, pj in zip(_max_domains(cone, height), height.pieces):
-        if not dom.rays:
-            continue
-        covered = False
+    for pj in height.pieces:
+        normals = list(cone.inequalities)
         for pi in height.pieces:
-            if all(
-                pi.domain.contains(r) and pi.value(r) == pj.value(r)
-                for r in dom.rays
-            ):
-                covered = True
-                break
-        if not covered:
+            diff = tuple(a - b for a, b in zip(pj.functional, pi.functional))
+            if any(x != 0 for x in diff):
+                normals.append(primitive(diff))
+        region = _generators(cone.ambient_rank, normals, cone.equations)
+        if region and not any(
+            all(pi.domain.contains(r) and pi.value(r) == pj.value(r) for r in region)
+            for pi in height.pieces
+        ):
             raise DomainError("height pieces do not cover the cone")
 
 

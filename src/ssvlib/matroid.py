@@ -237,24 +237,19 @@ def enumerate_matroid_subdivisions(shape, cap=2, workers=1, budget=SEARCH_BUDGET
         key = _subdivision_key(cells)
         if key not in found and all(is_matroid_polytope(c) for c in cells):
             found[key] = cells
-    # close under the symmetry group
+    # close under the symmetry group: the permutations form a group, so one
+    # pass over what the search found reaches every image
     if point_perms:
-        frontier = list(found.values())
-        while frontier:
-            fresh = []
-            for cells in frontier:
-                for perm in perms:
-                    # a coordinate permutation maps vertices onto vertices
-                    images = [
-                        tuple(sorted(_permute_point(v, perm) for v in c.vertices))
-                        for c in cells
-                    ]
-                    key = frozenset(images)
-                    if key not in found:
-                        image = tuple(subdivision_cell(hull, vs) for vs in sorted(images))
-                        found[key] = image
-                        fresh.append(image)
-            frontier = fresh
+        for cells in list(found.values()):
+            for perm in perms:
+                # a coordinate permutation maps vertices onto vertices
+                images = [
+                    tuple(sorted(_permute_point(v, perm) for v in c.vertices))
+                    for c in cells
+                ]
+                key = frozenset(images)
+                if key not in found:
+                    found[key] = tuple(subdivision_cell(hull, vs) for vs in sorted(images))
     out = list(found.values())
     out.sort(key=lambda cells: (len(cells), [c.vertices for c in cells]))
     return out

@@ -20,9 +20,12 @@ sits between the kernel and every caller:
 A hull is the cone over its homogenized points (1, p): the facets of that
 cone are the facets of the polytope, and a point is a vertex exactly when
 the facets through it meet in it alone (extreme rays of a pointed cone
-likewise).  ``_halfspace_vertices`` homogenizes: the vertices of {n.x >= c}
-are the rays (s, s v), s > 0, of the cone -c s + n.x >= 0, s >= 0, so a
-pairwise intersection is a vertex set read off the rays, with no hull.
+likewise).  The points (1, v) span the rows of the (1, p) and so share
+their pivot frame, where primitive normals and kernel lines are unique;
+hence ``cone_over`` reads the cone off the polytope's facets and
+equations.  The vertices of {n.x >= c} are the rays (s, s v), s > 0, of the
+cone -c s + n.x >= 0, s >= 0, so a pairwise intersection, which joins the
+rows of two such cones, is a vertex set read off the rays, with no hull.
 ``degeneration.regular_subdivision`` reads its cells off the lower facets of
 the cone over the lifted points (1, p, h).
 """
@@ -185,12 +188,13 @@ class Polytope:
     inequality's vertex indices are kept as a bitmask (``facet_vertex_sets``).
     ``_shared`` holds the points and cells of regular subdivisions of the
     polytope by value, and per points tuple the cell of each lower-facet
-    bitmask of those points (``degeneration.regular_subdivision``).
+    bitmask of those points (``degeneration.regular_subdivision``);
+    ``_cone`` holds ``cone_over`` once it is asked for.
     """
 
     __slots__ = (
         "ambient_rank", "vertices", "inequalities", "equations", "_dim", "_facet_masks",
-        "_shared",
+        "_shared", "_cone",
     )
 
     def __init__(self, ambient_rank, vertices, inequalities, equations, dim, facet_masks):
@@ -201,6 +205,7 @@ class Polytope:
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_facet_masks", facet_masks)
         object.__setattr__(self, "_shared", None)
+        object.__setattr__(self, "_cone", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -266,12 +271,6 @@ class Polytope:
     def is_face_of(self, other):
         """True iff this polytope is a face of the other one."""
         return _is_face(self.vertices, other)
-
-    def scaled(self, factor):
-        """The dilate factor * P for a positive rational factor."""
-        return convex_hull(
-            [tuple(Fraction(factor) * x for x in v) for v in self.vertices]
-        )
 
     def transformed(self, matrix):
         """Image under an invertible linear map given by rows."""
@@ -354,20 +353,21 @@ def _is_face(vertices, polytope):
     return _closure(mine, polytope._facet_masks, len(index)) == mine
 
 
-def _halfspace_vertices(ambient, ineqs, eqs):
-    """Sorted vertices of the bounded region n . x >= c, e . x == d; () if empty.
+def _cone_vertices(width, ineqs, eqs):
+    """Sorted v over the rays (s, s v), s > 0, of {e.x == 0, n.x >= 0, s >= 0}.
 
-    They are the rays (s, s v), s > 0, of the pointed cone -c s + n . x >= 0
-    (== 0 for equations), s >= 0.  ``_pointed_rays`` returns extreme rays
-    only, so each is a vertex and no hull needs to sort them out.
+    The cone lives in Q^width and must be pointed; ``_pointed_rays`` returns
+    extreme rays only, so each v is a vertex and no hull needs to sort them.
     """
-
-    def homogenized(constraints):
-        return [clear_denominators((-c,) + tuple(n)) for n, c in constraints]
-
-    s_nonnegative = [(1,) + (0,) * ambient]
-    rays = _pointed_rays(ambient + 1, homogenized(ineqs) + s_nonnegative, homogenized(eqs))
+    s_nonnegative = [(1,) + (0,) * (width - 1)]
+    rays = _pointed_rays(width, list(ineqs) + s_nonnegative, list(eqs))
     return tuple(sorted(tuple(Fraction(x, s) for x in v) for s, *v in rays if s > 0))
+
+
+def _halfspace_vertices(ambient, ineqs, eqs):
+    """Sorted vertices of the bounded region n . x >= c, e . x == d; () if empty."""
+    rows = [[clear_denominators((-c,) + tuple(n)) for n, c in part] for part in (ineqs, eqs)]
+    return _cone_vertices(ambient + 1, *rows)
 
 
 def from_halfspaces(ambient_rank, inequalities, equations=()):
@@ -386,8 +386,9 @@ def _intersection_vertices(p, q):
     """Sorted vertices of the intersection of two polytopes; () when empty."""
     if p.ambient_rank != q.ambient_rank:
         raise ValueError("ambient ranks differ")
-    return _halfspace_vertices(
-        p.ambient_rank, p.inequalities + q.inequalities, p.equations + q.equations
+    a, b = cone_over(p), cone_over(q)
+    return _cone_vertices(
+        a.ambient_rank, a.inequalities + b.inequalities, a.equations + b.equations
     )
 
 
@@ -510,9 +511,21 @@ def cone_from_halfspaces(ambient_rank, inequality_normals, equation_normals=()):
 
 
 def cone_over(polytope):
-    """The cone in R^(1+r) generated by {1} x Q, with primitive rays."""
-    rays = [(Fraction(1),) + v for v in polytope.vertices]
-    return Cone.from_rays(polytope.ambient_rank + 1, rays)
+    """The cone in R^(1+r) generated by {1} x Q, with primitive rays.
+
+    Read off the polytope once and kept on it: rays (1, v), facets (-c, n)
+    for n . x >= c (s >= 0 for a point), equations (-d, n) for n . x == d.
+    """
+    if polytope._cone is None:
+        ineqs = sorted((-c,) + n for n, c in polytope.inequalities)
+        cone = Cone(
+            polytope.ambient_rank + 1,
+            tuple(sorted(clear_denominators((1,) + v) for v in polytope.vertices)),
+            tuple(ineqs or [(1,) + (0,) * polytope.ambient_rank]),
+            tuple(sorted(canonical_direction((-d,) + n) for n, d in polytope.equations)),
+        )
+        object.__setattr__(polytope, "_cone", cone)
+    return polytope._cone
 
 
 def graded_lattice_points(polytope, gamma, degree):

@@ -10,6 +10,10 @@ search over (k - 1)-subsets, the oracle for its double description, and
 elimination here is the earlier Fraction Gaussian elimination, independent
 of the library's fraction-free ``integer_rref``.
 
+``cone_over`` is the library's earlier version, which hulls the points
+(1, v) again with ``Cone.from_rays`` instead of reading the cone off the
+polytope.
+
 ``regular_subdivision`` and ``moment_set_is_convex`` are the library's
 earlier versions, which map every point into frame coordinates: the first
 hulls the lifted frame coordinates and reads the lower facets off that hull,
@@ -431,6 +435,12 @@ def cone_from_halfspaces(ambient_rank, inequality_normals, equation_normals=()):
                 point[i] += ti * d[i]
         lifted.append(tuple(point))
     return cone_from_rays(ambient_rank, lifted, _canonicalize=False)
+
+
+def cone_over(polytope):
+    """The cone in R^(1+r) generated by {1} x Q, with primitive rays."""
+    rays = [(Fraction(1),) + v for v in polytope.vertices]
+    return Cone.from_rays(polytope.ambient_rank + 1, rays)
 
 
 def _volume_of_points(points):

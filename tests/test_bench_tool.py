@@ -1,4 +1,4 @@
-"""`tools/bench.py`: the bound verdicts it prints after a paired run."""
+"""`tools/bench.py`: the bound verdicts and library line counts it prints after a paired run."""
 
 import importlib.util
 from pathlib import Path
@@ -45,12 +45,34 @@ def test_verdicts_read_the_median_ratio_against_the_bound(capsys):
     # the peak's verdict, and only it, reads against the operations run: 500 / 380
     assert out["peak_rss_mib"]["attempted_ratio"] == 500 / 380
     assert all("attempted_ratio" not in out[name] for name in ("wall_s", "ops_per_s"))
-    bench._print_verdicts({"workloads": {"w": {"verdicts": out}}})
-    peak_line = next(line for line in capsys.readouterr().out.splitlines() if "peak_rss_mib" in line)
+    bench._print_verdicts({"workloads": {"w": {"verdicts": out}}, "src_lines": 4090}, 4104)
+    printed = capsys.readouterr().out.splitlines()
+    peak_line = next(line for line in printed if "peak_rss_mib" in line)
     assert peak_line.endswith("OUT OF BOUND  attempted 1.316")
+    # the library's line counts of both checkouts close the table
+    assert printed[-1] == "src/ssvlib/*.py lines: parent 4104, change 4090 (-14)"
     # a parent that attempted nothing has no ratio
     idle = bench.verdicts(change, _runs(peak_rss_mib=[20.0] * 3, attempted=[0] * 3), end_to_end[1:2])
     assert idle["peak_rss_mib"]["attempted_ratio"] is None
     # exactly at the bound still keeps it
     edge = bench.verdicts(_runs(wall_s=[1.25]), _runs(wall_s=[1.0]), end_to_end[:1])
     assert edge["wall_s"]["within_bound"]
+
+
+def test_src_lines_counts_the_library_modules_only(tmp_path):
+    bench = _bench()
+    library = tmp_path / "src" / "ssvlib"
+    library.mkdir(parents=True)
+    (library / "a.py").write_text("x = 1\ny = 2\n")
+    (library / "b.py").write_text("z = 3")  # no final newline
+    (library / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench.src_lines(tmp_path) == 3
+    # this checkout's own count is what its BENCH file records
+    root = Path(bench.ROOT)
+    assert bench.src_lines(root) == sum(
+        len(path.read_text().splitlines()) for path in (root / "src" / "ssvlib").glob("*.py")
+    )
+    runs = {"w": {"change": [{"attempted": 1, "metrics": {}}]}}
+    report = bench._report("x", runs, "change", tmp_path)
+    assert report["src_lines"] == 3

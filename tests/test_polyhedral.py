@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from ssvlib import polyhedral
 from ssvlib.errors import DimensionError, NotPointedError
 from ssvlib.lattice import Lattice
 from ssvlib.polyhedral import (
+    _dual,
     AffineMonoid,
     Cone,
     cone_from_halfspaces,
@@ -137,6 +139,20 @@ def test_cone_over_rational_vertices_primitive_rays():
     half = convex_hull([(F(1, 2),), (F(3, 2),)])
     c = cone_over(half)
     assert c.rays == ((2, 1), (2, 3))
+
+
+def test_cone_over_is_kept_on_the_polytope(monkeypatch):
+    tri = convex_hull([(0, 0), (2, 0), (4, 2)])
+    first = cone_over(tri)
+    dualized = []
+
+    def counting(rows, width):
+        dualized.append(rows)
+        return _dual(rows, width)
+
+    monkeypatch.setattr(polyhedral, "_dual", counting)
+    assert cone_over(tri) is first
+    assert dualized == []
 
 
 def test_cone_from_halfspaces_and_pointedness():

@@ -2,10 +2,12 @@
 
 Random small rational inputs go through both the library and the reference
 searches in ``polyhedral_oracle``; every description (vertices or rays,
-inequalities, equations) must come out identical.  ``is_face_of`` is checked
-against the enumerated face lattice, ``face_vertex_sets``.  The kernel itself,
-double description, is compared with the exhaustive search it replaced, and
-its Bareiss kernel lines with the Smith-form ``integer_kernel``.  Regular
+inequalities, equations) must come out identical; so must the cone over a
+polytope, read off its descriptions, and the cone over its vertices.
+``is_face_of`` is checked against the enumerated face lattice,
+``face_vertex_sets``.  The kernel itself, double description, is compared
+with the exhaustive search it replaced, and its Bareiss kernel lines with
+the Smith-form ``integer_kernel``.  Regular
 subdivisions, also several in turn of one polytope, and the convexity flag
 of their cells are compared with the earlier versions that worked in frame
 coordinates.
@@ -28,6 +30,7 @@ from ssvlib.polyhedral import (
     _kernel_line,
     _supporting_normals,
     cone_from_halfspaces,
+    cone_over,
     convex_hull,
     intersect_polytopes,
 )
@@ -151,6 +154,29 @@ def test_cone_from_halfspaces_matches_oracle(case, data):
     assert _cone_parts(cone_from_halfspaces(d, normals, equations)) == _cone_parts(
         oracle.cone_from_halfspaces(d, normals, equations)
     )
+
+
+@st.composite
+def affine_point_sets(draw):
+    """Points spanning a polytope of any dimension 0..d in Q^d, 0 <= d <= 4."""
+    d = draw(st.integers(0, 4))
+    rank = draw(st.integers(0, d))
+    base = draw(st.tuples(*[coordinate] * d))
+    directions = draw(st.lists(st.tuples(*[coordinate] * d), min_size=rank, max_size=rank))
+    coeffs = st.tuples(*[st.integers(-2, 2).map(Fraction)] * rank)
+    return [
+        tuple(b + x for b, x in zip(base, _combination(c, directions, d)))
+        for c in draw(st.lists(coeffs, min_size=1, max_size=7))
+    ]
+
+
+@EXAMPLES
+@given(affine_point_sets())
+def test_cone_over_matches_oracle(points):
+    p = convex_hull(points)
+    mine = _cone_parts(cone_over(p))
+    assert mine == _cone_parts(oracle.cone_over(p))
+    assert all(type(x) is int for part in mine for row in part for x in row)
 
 
 @EXAMPLES

@@ -24,11 +24,15 @@ per end-to-end metric of ``BENCHMARK.json``, the ratio of this checkout's
 median to the parent's and whether that ratio keeps the metric's bound; a
 table of these verdicts is printed last.  The ``peak_rss_mib`` verdict also
 carries the same ratio for ``attempted``, so that a rise in the peak can be
-read against the operations completed.  perfbench itself is only invoked,
-never changed.
+read against the operations completed.  Each file also records
+``src_lines``, the line count of its checkout's ``src/ssvlib/*.py``, and the
+paired run prints both counts under the verdict table, so that a change that
+grows the library shows on every paired run.  perfbench itself is only
+invoked, never changed.
 """
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -66,6 +70,15 @@ def run_once(root, workload, seed):
         sys.stderr.write(proc.stderr)
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                 "exit_code": proc.returncode}
+
+
+def src_lines(root):
+    """Lines in the library modules, ``src/ssvlib/*.py``, of a checkout."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "ssvlib", "*.py")):
+        with open(path) as handle:
+            total += sum(1 for _ in handle)
+    return total
 
 
 def _values(runs, name):
@@ -125,7 +138,7 @@ def verdicts(runs, parent_runs, end_to_end):
     return out
 
 
-def _print_verdicts(report):
+def _print_verdicts(report, parent_src_lines):
     print(f"{'workload':<14}{'metric':<14}{'ratio':>8}{'bound':>8}  verdict")
     for workload, entry in report["workloads"].items():
         for name, v in entry["verdicts"].items():
@@ -136,14 +149,18 @@ def _print_verdicts(report):
                 done = v["attempted_ratio"]
                 line += f"  attempted {done:.3f}" if done is not None else "  attempted n/a"
             print(line)
+    lines = report["src_lines"]
+    print(f"src/ssvlib/*.py lines: parent {parent_src_lines}, change {lines} "
+          f"({lines - parent_src_lines:+d})")
 
 
-def _report(label, sides, name):
+def _report(label, sides, name, root):
     return {
         "label": label,
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "seeds": list(SEEDS),
+        "src_lines": src_lines(root),
         "workloads": {
             workload: {
                 "attempted": statistics.median(run["attempted"] for run in runs[name]),
@@ -183,7 +200,7 @@ def main(argv=None):
                 print(f"{workload} seed {seed} {name}: correct={run['correct']} "
                       f"attempted={run['attempted']} failed={run['failed']} wall_s={wall}",
                       flush=True)
-    report = _report(args.label, sides, "change")
+    report = _report(args.label, sides, "change", roots["change"])
     if args.root:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
             end_to_end = json.load(handle)["end_to_end"]
@@ -191,10 +208,11 @@ def main(argv=None):
             entry = report["workloads"][workload]
             entry["pairs"] = compare(runs["change"], runs["parent"])
             entry["verdicts"] = verdicts(runs["change"], runs["parent"], end_to_end)
-        _write(_report("parent", sides, "parent"))
+        parent = _report("parent", sides, "parent", roots["parent"])
+        _write(parent)
     _write(report)
     if args.root:
-        _print_verdicts(report)
+        _print_verdicts(report, parent["src_lines"])
     return 0 if all_ok else 1
 
 
