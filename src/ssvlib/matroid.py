@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidRankDataError, NonLatticeError, ParamError, SearchBudgetError
-from .linalg import canonical_direction, vec_sub
+from .linalg import primitive, vec_sub
 from .polyhedral import convex_hull, in_convex_hull
 from .degeneration import regular_subdivision, subdivision_cell
 
@@ -35,11 +35,20 @@ class GradedShape:
 
 def weight_set(shape):
     """Integer tuples in the rank box with coordinate sum r, lex order."""
-    out = []
-    for combo in itertools.product(*(range(m + 1) for m in shape.ranks)):
-        if sum(combo) == shape.r:
-            out.append(combo)
-    return out
+    # room[i]: the largest sum positions i, i + 1, ... can hold
+    room = list(itertools.accumulate(reversed(shape.ranks + (0,))))[::-1]
+    return list(_weight_tuples(shape.ranks, room, (), shape.r))
+
+
+def _weight_tuples(ranks, room, prefix, rest):
+    # each value leaves a sum the later positions can still hold; module
+    # level, since a self-calling closure is a reference cycle per call
+    i = len(prefix)
+    if i == len(ranks):
+        yield prefix
+        return
+    for x in range(max(0, rest - room[i + 1]), min(ranks[i], rest) + 1):
+        yield from _weight_tuples(ranks, room, prefix + (x,), rest - x)
 
 
 class RankFunctionData:
@@ -133,23 +142,13 @@ def is_matroid_polytope(polytope):
         for x in v:
             if Fraction(x).denominator != 1:
                 raise NonLatticeError(f"vertex {v} is not integral")
-    n = polytope.ambient_rank
-    allowed = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                allowed.add(
-                    canonical_direction(
-                        tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-                    )
-                )
     for vertex_set in polytope.face_vertex_sets():
         # the edges are exactly the faces with two vertices
         if len(vertex_set) != 2:
             continue
-        ends = [polytope.vertices[i] for i in sorted(vertex_set)]
-        direction = canonical_direction(vec_sub(ends[1], ends[0]))
-        if direction not in allowed:
+        a, b = (polytope.vertices[i] for i in vertex_set)
+        # the primitive edge direction must be some e_i - e_j
+        if sorted(x for x in primitive(vec_sub(b, a)) if x) != [-1, 1]:
             return False
     return True
 

@@ -36,12 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, NotPointedError
-from .lattice import Lattice, integer_kernel, smith_normal_form, solve_integer
+from .lattice import Lattice, hermite_basis
 from .linalg import (
     canonical_direction,
     clear_denominators,
     integer_rref,
-    mat_inverse_unimodular,
     mat_rank,
     primitive,
     rref_nullspace,
@@ -541,66 +540,41 @@ def graded_lattice_points(polytope, gamma, degree):
         raise ValueError("degree must be nonnegative")
     if degree == 0:
         return [tuple(0 for _ in range(d))]
-    if gamma.is_zero:
+    if gamma.is_zero or gamma.basis[0][0] == 0:
         return []
-    first = tuple(row[0] for row in gamma.basis)
-    part_coords = solve_integer((first,), (degree,))
-    if part_coords is None:
-        return []
-    base_point = gamma.member(part_coords)
-    kernel = [gamma.member(k) for k in integer_kernel((first,))]
-    sub = [k[1:] for k in kernel]
-    target_proj = [Fraction(x) for x in base_point[1:]]
+    # column 0 is pinned to the degree, the others to the box of degree * Q
+    columns = [[Fraction(x) * degree for x in col] for col in zip(*polytope.vertices)]
+    lo = [Fraction(degree)] + [min(col) for col in columns]
+    hi = [Fraction(degree)] + [max(col) for col in columns]
     eqs = [(n, Fraction(c) * degree) for n, c in polytope.equations]
     ineqs = [(n, Fraction(c) * degree) for n, c in polytope.inequalities]
-
-    def admissible(proj):
-        return all(vec_dot(n, proj) == c for n, c in eqs) and all(
-            vec_dot(n, proj) >= c for n, c in ineqs
-        )
-
-    if not sub:
-        return [base_point] if admissible(base_point[1:]) else []
-    lo = [min(Fraction(v[i]) * degree for v in polytope.vertices) for i in range(d - 1)]
-    hi = [max(Fraction(v[i]) * degree for v in polytope.vertices) for i in range(d - 1)]
-    pseudo = _left_inverse(sub)
-    ranges = []
-    for row in pseudo:
-        lo_c = hi_c = Fraction(0)
-        for j in range(d - 1):
-            a = row[j] * (lo[j] - target_proj[j])
-            b = row[j] * (hi[j] - target_proj[j])
-            lo_c += min(a, b)
-            hi_c += max(a, b)
-        ranges.append(range(math.ceil(lo_c), math.floor(hi_c) + 1))
-    out = []
-    for combo in itertools.product(*ranges):
-        point = list(base_point)
-        for c, kvec in zip(combo, kernel):
-            for i in range(d):
-                point[i] += c * kvec[i]
-        if admissible(tuple(point[1:])):
-            out.append(tuple(point))
+    out = [
+        point
+        for point in _hermite_box_points(gamma.basis, 0, (0,) * d, lo, hi)
+        if all(vec_dot(n, point[1:]) == c for n, c in eqs)
+        and all(vec_dot(n, point[1:]) >= c for n, c in ineqs)
+    ]
     return sorted(out)
 
 
-def _left_inverse(rows):
-    """Rational matrix recovering coefficients of combinations of the rows.
+def _hermite_box_points(basis, i, point, lo, hi):
+    """point plus the combinations of basis[i:] whose pivot coordinates lie in [lo, hi].
 
-    rows must be linearly independent; row i of the result pairs to 1 with
-    rows[i] and to 0 with the others.
+    basis is a row Hermite basis: its pivots are positive and increase, and
+    later rows vanish at earlier pivots, so row i's coefficient fixes that
+    row's pivot coordinate once the coefficients before it are chosen.
+    Module level, since a self-calling closure is a reference cycle per call.
     """
-    gram = [[vec_dot(a, b) for b in rows] for a in rows]
-    out = []
-    for i in range(len(rows)):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(len(rows)))
-        sol = solve_rational(gram, e)
-        m = [Fraction(0)] * len(rows[0])
-        for cj, rj in zip(sol, rows):
-            for kk in range(len(m)):
-                m[kk] += cj * rj[kk]
-        out.append(tuple(m))
-    return out
+    if i == len(basis):
+        yield point
+        return
+    row = basis[i]
+    p = next(c for c, x in enumerate(row) if x)
+    first = math.ceil((lo[p] - point[p]) / row[p])
+    last = math.floor((hi[p] - point[p]) / row[p])
+    for c in range(first, last + 1):
+        moved = tuple(a + c * b for a, b in zip(point, row))
+        yield from _hermite_box_points(basis, i + 1, moved, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -637,26 +611,17 @@ def _reduced_cone_data(cone, gamma):
 
 
 def _simplicial_box_points(rays):
-    """Lattice points of Z^k in the half-open parallelepiped of the rays."""
+    """Lattice points of Z^k in the half-open parallelepiped of k independent rays."""
     k = len(rays)
-    snf = smith_normal_form(rays)
-    rinv = mat_inverse_unimodular(snf.right)
-    # Z^k modulo the row lattice of the rays is generated by the rows of
-    # right^-1, with orders given by the diagonal.
-    reps = []
-    axes = [range(dd if dd > 0 else 1) for dd in snf.diag]
-    for combo in itertools.product(*axes):
-        rep = [0] * k
-        for a, w in zip(combo, rinv):
-            for i in range(k):
-                rep[i] += a * w[i]
-        reps.append(tuple(rep))
+    # the Hermite basis of the rays is upper triangular with a positive
+    # diagonal, so its box 0 <= x_i < h_ii holds one point of each class of
+    # Z^k modulo the ray lattice
+    diagonal = [row[i] for i, row in enumerate(hermite_basis(rays, k))]
     ray_cols = [tuple(r[i] for r in rays) for i in range(k)]
     points = set()
-    for rep in reps:
-        t = solve_rational(ray_cols, rep)
+    for rep in itertools.product(*(range(h) for h in diagonal)):
         shifted = list(rep)
-        for ti, row in zip(t, rays):
+        for ti, row in zip(solve_rational(ray_cols, rep), rays):
             fl = math.floor(ti)
             if fl:
                 for i in range(k):
@@ -720,14 +685,7 @@ def hilbert_basis(cone, gamma=None):
                 break
         if not reducible:
             basis.append(g)
-    lifted = [
-        tuple(
-            sum(c * b[i] for c, b in zip(x, lat.basis))
-            for i in range(lat.ambient_rank)
-        )
-        for x in basis
-    ]
-    return tuple(sorted(lifted))
+    return tuple(sorted(lat.member(x) for x in basis))
 
 
 def monoid_membership(generators, target, cone=None):

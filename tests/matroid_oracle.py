@@ -1,4 +1,10 @@
-"""Reference counts for the matroid module, computed apart from it."""
+"""Reference results for the matroid module, computed apart from it.
+
+``weight_set`` is the library's earlier version, which filters the whole
+rank box for the tuples with sum r.
+"""
+
+import itertools
 
 
 def weight_set_size_oracle(shape):
@@ -11,3 +17,12 @@ def weight_set_size_oracle(shape):
                 fresh[i + j] += c
         poly = fresh
     return poly[shape.r] if shape.r < len(poly) else 0
+
+
+def weight_set(shape):
+    """Integer tuples in the rank box with coordinate sum r, lex order."""
+    out = []
+    for combo in itertools.product(*(range(m + 1) for m in shape.ranks)):
+        if sum(combo) == shape.r:
+            out.append(combo)
+    return out

@@ -14,6 +14,13 @@ of the library's fraction-free ``integer_rref``.
 (1, v) again with ``Cone.from_rays`` instead of reading the cone off the
 polytope.
 
+``graded_lattice_points`` (with ``_left_inverse``) and
+``_simplicial_box_points`` are the library's earlier lattice-point
+enumerators: the first bounds the coefficients of a kernel basis of the
+degree map, found with Smith forms, through a Gram-matrix pseudo-inverse;
+the second takes coset representatives from the Smith form of the rays.
+Here their rational solves run on this module's ``solve_rational``.
+
 ``regular_subdivision`` and ``moment_set_is_convex`` are the library's
 earlier versions, which map every point into frame coordinates: the first
 hulls the lifted frame coordinates and reads the lower facets off that hull,
@@ -23,15 +30,17 @@ Here both run on this module's ``convex_hull`` and ``_AffineFrame`` (whose
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
 from ssvlib.errors import DegenerateLiftError, DimensionError
-from ssvlib.lattice import integer_kernel
+from ssvlib.lattice import integer_kernel, smith_normal_form, solve_integer
 from ssvlib.linalg import (
     canonical_direction,
     clear_denominators,
     mat_det,
+    mat_inverse_unimodular,
     primitive,
     vec_dot,
     vec_sub,
@@ -567,3 +576,107 @@ def moment_set_is_convex(complex_):
         total += vol
     hull_vol = _volume_of_points([frame.coords(v) for v in hull.vertices])
     return total == hull_vol
+
+
+def graded_lattice_points(polytope, gamma, degree):
+    """Elements of gamma with first coordinate ``degree`` over degree * Q.
+
+    gamma lives in Z^(1+r) and the polytope in R^r.  Output is sorted
+    lexicographically.
+    """
+    d = gamma.ambient_rank
+    if polytope.ambient_rank + 1 != d:
+        raise ValueError("polytope rank incompatible with the graded group")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree == 0:
+        return [tuple(0 for _ in range(d))]
+    if gamma.is_zero:
+        return []
+    first = tuple(row[0] for row in gamma.basis)
+    part_coords = solve_integer((first,), (degree,))
+    if part_coords is None:
+        return []
+    base_point = gamma.member(part_coords)
+    kernel = [gamma.member(k) for k in integer_kernel((first,))]
+    sub = [k[1:] for k in kernel]
+    target_proj = [Fraction(x) for x in base_point[1:]]
+    eqs = [(n, Fraction(c) * degree) for n, c in polytope.equations]
+    ineqs = [(n, Fraction(c) * degree) for n, c in polytope.inequalities]
+
+    def admissible(proj):
+        return all(vec_dot(n, proj) == c for n, c in eqs) and all(
+            vec_dot(n, proj) >= c for n, c in ineqs
+        )
+
+    if not sub:
+        return [base_point] if admissible(base_point[1:]) else []
+    lo = [min(Fraction(v[i]) * degree for v in polytope.vertices) for i in range(d - 1)]
+    hi = [max(Fraction(v[i]) * degree for v in polytope.vertices) for i in range(d - 1)]
+    pseudo = _left_inverse(sub)
+    ranges = []
+    for row in pseudo:
+        lo_c = hi_c = Fraction(0)
+        for j in range(d - 1):
+            a = row[j] * (lo[j] - target_proj[j])
+            b = row[j] * (hi[j] - target_proj[j])
+            lo_c += min(a, b)
+            hi_c += max(a, b)
+        ranges.append(range(math.ceil(lo_c), math.floor(hi_c) + 1))
+    out = []
+    for combo in itertools.product(*ranges):
+        point = list(base_point)
+        for c, kvec in zip(combo, kernel):
+            for i in range(d):
+                point[i] += c * kvec[i]
+        if admissible(tuple(point[1:])):
+            out.append(tuple(point))
+    return sorted(out)
+
+
+def _left_inverse(rows):
+    """Rational matrix recovering coefficients of combinations of the rows.
+
+    rows must be linearly independent; row i of the result pairs to 1 with
+    rows[i] and to 0 with the others.
+    """
+    gram = [[vec_dot(a, b) for b in rows] for a in rows]
+    out = []
+    for i in range(len(rows)):
+        e = tuple(Fraction(1 if j == i else 0) for j in range(len(rows)))
+        sol = solve_rational(gram, e)
+        m = [Fraction(0)] * len(rows[0])
+        for cj, rj in zip(sol, rows):
+            for kk in range(len(m)):
+                m[kk] += cj * rj[kk]
+        out.append(tuple(m))
+    return out
+
+
+def _simplicial_box_points(rays):
+    """Lattice points of Z^k in the half-open parallelepiped of the rays."""
+    k = len(rays)
+    snf = smith_normal_form(rays)
+    rinv = mat_inverse_unimodular(snf.right)
+    # Z^k modulo the row lattice of the rays is generated by the rows of
+    # right^-1, with orders given by the diagonal.
+    reps = []
+    axes = [range(dd if dd > 0 else 1) for dd in snf.diag]
+    for combo in itertools.product(*axes):
+        rep = [0] * k
+        for a, w in zip(combo, rinv):
+            for i in range(k):
+                rep[i] += a * w[i]
+        reps.append(tuple(rep))
+    ray_cols = [tuple(r[i] for r in rays) for i in range(k)]
+    points = set()
+    for rep in reps:
+        t = solve_rational(ray_cols, rep)
+        shifted = list(rep)
+        for ti, row in zip(t, rays):
+            fl = math.floor(ti)
+            if fl:
+                for i in range(k):
+                    shifted[i] -= fl * row[i]
+        points.add(tuple(shifted))
+    return points

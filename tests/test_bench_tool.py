@@ -59,6 +59,34 @@ def test_verdicts_read_the_median_ratio_against_the_bound(capsys):
     assert edge["wall_s"]["within_bound"]
 
 
+def test_a_within_bound_reading_wider_than_its_bound_is_unresolved(capsys):
+    bench = _bench()
+    end_to_end = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    # setup_s moves in 50 ms steps: the parent's runs sit at 0.168 or 0.215 s,
+    # whose quartiles lie 28% of the median apart
+    parent = _runs(setup_s=[0.168] * 6 + [0.215] * 4)
+    bimodal = bench.verdicts(_runs(setup_s=[0.215, 0.168] * 5), parent, end_to_end)["setup_s"]
+    assert abs(bimodal["ratio"] - 0.1915 / 0.168) < 1e-12 and bimodal["within_bound"]
+    assert abs(bimodal["spread"] - 0.047 / 0.168) < 1e-12 and not bimodal["resolved"]
+    # the same spread, but every run of the change reads lower than every parent run
+    faster = bench.verdicts(_runs(setup_s=[0.120] * 10), parent, end_to_end)["setup_s"]
+    assert faster["within_bound"] and faster["resolved"]
+    # a tight parent resolves a reading within the bound
+    tight = bench.verdicts(_runs(setup_s=[0.171, 0.169] * 5),
+                           _runs(setup_s=[0.168, 0.170] * 5), end_to_end)["setup_s"]
+    assert tight["within_bound"] and tight["resolved"] and tight["spread"] < 0.25
+    # out of bound whatever the spread
+    slower = bench.verdicts(_runs(setup_s=[0.215] * 10), parent, end_to_end)["setup_s"]
+    assert not slower["within_bound"] and not slower["resolved"]
+    report = {"workloads": {"bimodal": {"verdicts": {"setup_s": bimodal}},
+                            "tight": {"verdicts": {"setup_s": tight}},
+                            "slower": {"verdicts": {"setup_s": slower}}},
+              "src_lines": 1}
+    bench._print_verdicts(report, 1)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in printed[1:4]] == ["unresolved", "within", "BOUND"]
+
+
 def test_src_lines_counts_the_library_modules_only(tmp_path):
     bench = _bench()
     library = tmp_path / "src" / "ssvlib"

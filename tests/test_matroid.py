@@ -1,6 +1,9 @@
 import itertools
 
+import matroid_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from matroid_oracle import weight_set_size_oracle
 
 from ssvlib import degeneration, matroid
@@ -45,6 +48,30 @@ def test_weight_set_size_oracle():
         for r in range(sum(ranks) + 1):
             shape = GradedShape(r, ranks)
             assert len(weight_set(shape)) == weight_set_size_oracle(shape)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 4), max_size=5).flatmap(
+    lambda ranks: st.tuples(st.integers(0, sum(ranks)), st.just(tuple(ranks)))))
+def test_weight_set_matches_the_box_filter(case):
+    shape = GradedShape(*case)
+    assert weight_set(shape) == matroid_oracle.weight_set(shape)
+
+
+def test_weight_set_of_huge_ranks_skips_the_box():
+    # the box filter would scan (10**6 + 1)**4 tuples
+    assert weight_set(GradedShape(2, (10**6,) * 4)) == [
+        (0, 0, 0, 2),
+        (0, 0, 1, 1),
+        (0, 0, 2, 0),
+        (0, 1, 0, 1),
+        (0, 1, 1, 0),
+        (0, 2, 0, 0),
+        (1, 0, 0, 1),
+        (1, 0, 1, 0),
+        (1, 1, 0, 0),
+        (2, 0, 0, 0),
+    ]
 
 
 def test_rank_function_defaults_and_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ssvlib import polyhedral
+from ssvlib import lattice, polyhedral
 from ssvlib.errors import DimensionError, NotPointedError
 from ssvlib.lattice import Lattice
 from ssvlib.polyhedral import (
@@ -203,6 +203,22 @@ def test_graded_lattice_points_against_box_scan():
             if n == 0:
                 expect = [(0, 0)]
             assert got == expect
+
+
+def test_lattice_points_come_off_the_hermite_basis(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("no Smith form is needed")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    for name in ("smith_normal_form", "solve_integer", "integer_kernel", "mat_inverse_unimodular"):
+        assert not hasattr(polyhedral, name)
+    seg02 = convex_hull([(0,), (2,)])
+    gamma = Lattice(2, [(1, 2), (0, 2)])
+    assert graded_lattice_points(seg02, gamma, 3) == [(3, 0), (3, 2), (3, 4), (3, 6)]
+    # t (2, 1) + u (0, 3) with 0 <= t, u < 1: six points, one per coset
+    assert polyhedral._simplicial_box_points([(2, 1), (0, 3)]) == {
+        (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)
+    }
 
 
 def test_hilbert_basis_quadrant():

@@ -10,28 +10,32 @@ with the exhaustive search it replaced, and its Bareiss kernel lines with
 the Smith-form ``integer_kernel``.  Regular
 subdivisions, also several in turn of one polytope, and the convexity flag
 of their cells are compared with the earlier versions that worked in frame
-coordinates.
+coordinates, and the lattice points of graded slices and of simplicial
+parallelepipeds with the earlier Smith-form enumerators.
 """
 
+import random
 from fractions import Fraction
 
 import polyhedral_oracle as oracle
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssvlib.complexes import Cell, SSVComplex, _volume_of_points, moment_set_is_convex
 from ssvlib.degeneration import regular_subdivision
 from ssvlib.lattice import Lattice, integer_kernel
-from ssvlib.linalg import integer_rref, vec_dot
+from ssvlib.linalg import integer_rref, mat_rank, vec_dot
 from ssvlib.polyhedral import (
     Cone,
     _intersection_vertices,
     _is_face,
     _kernel_line,
+    _simplicial_box_points,
     _supporting_normals,
     cone_from_halfspaces,
     cone_over,
     convex_hull,
+    graded_lattice_points,
     intersect_polytopes,
 )
 
@@ -177,6 +181,51 @@ def test_cone_over_matches_oracle(points):
     mine = _cone_parts(cone_over(p))
     assert mine == _cone_parts(oracle.cone_over(p))
     assert all(type(x) is int for part in mine for row in part for x in row)
+
+
+@st.composite
+def graded_cases(draw):
+    """(polytope in Q^r, lattice in Z^(1+r), degree) for r = 1..3, degree 0..4.
+
+    The polytope has rational vertices and any dimension 0..r; the lattice
+    has 0 to r + 2 generators, whose degrees, scaled by 2 or 3, often leave
+    it without an element of degree 1.  Drawn from one seeded generator, so
+    that every kind of case is common, not only the simplest.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    r = rng.randint(1, 3)
+
+    def coordinate():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+
+    base = [coordinate() for _ in range(r)]
+    rank = r if rng.random() < 0.5 else rng.randint(0, r - 1)
+    directions = [[coordinate() for _ in range(r)] for _ in range(rank)]
+    points = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = [rng.randint(-2, 2) for _ in directions]
+        points.append(tuple(b + sum(c * v[i] for c, v in zip(coeffs, directions))
+                            for i, b in enumerate(base)))
+    step = rng.choice([1, 1, 2, 3])
+    generators = [
+        (step * rng.randint(-2, 2),) + tuple(rng.randint(-2, 2) for _ in range(r))
+        for _ in range(rng.randint(0, r + 2))
+    ]
+    return convex_hull(points), Lattice(r + 1, generators), rng.randint(0, 4)
+
+
+@EXAMPLES
+@given(graded_cases())
+def test_graded_lattice_points_match_oracle(case):
+    assert graded_lattice_points(*case) == oracle.graded_lattice_points(*case)
+
+
+@EXAMPLES
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=k, max_size=k)))
+def test_simplicial_box_points_match_oracle(rays):
+    assume(mat_rank(rays) == len(rays))
+    assert _simplicial_box_points(rays) == oracle._simplicial_box_points(rays)
 
 
 @EXAMPLES

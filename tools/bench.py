@@ -22,9 +22,11 @@ version and ``nproc``; with ``--root``,
 checkout read lower and gives the quartiles of the parent's runs, and holds,
 per end-to-end metric of ``BENCHMARK.json``, the ratio of this checkout's
 median to the parent's and whether that ratio keeps the metric's bound; a
-table of these verdicts is printed last.  The ``peak_rss_mib`` verdict also
-carries the same ratio for ``attempted``, so that a rise in the peak can be
-read against the operations completed.  Each file also records
+table of these verdicts is printed last.  A metric within its bound reads
+``unresolved`` there when the parent's own runs spread wider than the bound
+and the change does not read better in every run.  The ``peak_rss_mib``
+verdict also carries the same ratio for ``attempted``, so that a rise in the
+peak can be read against the operations completed.  Each file also records
 ``src_lines``, the line count of its checkout's ``src/ssvlib/*.py``, and the
 paired run prints both counts under the verdict table, so that a change that
 grows the library shows on every paired run.  perfbench itself is only
@@ -121,6 +123,12 @@ def verdicts(runs, parent_runs, end_to_end):
     perfbench keeps every round's outputs, so ``peak_rss_mib`` grows with the
     operations run; its verdict adds ``attempted_ratio``, the change/parent
     ratio of the median ``attempted`` (None when the parent attempted none).
+
+    ``spread`` is the distance between the quartiles of the parent's runs as
+    a fraction of their median.  A metric whose spread exceeds its bound is
+    not ``resolved``: the runs cannot tell a change within the bound from
+    none, unless every run of the change reads better than every run of the
+    parent.
     """
     done, parent_done = (statistics.median(r["attempted"] for r in rs) for rs in (runs, parent_runs))
     out = {}
@@ -129,10 +137,17 @@ def verdicts(runs, parent_runs, end_to_end):
         change, parent = _values(runs, name), _values(parent_runs, name)
         if not change or not parent:
             continue
-        ratio = statistics.median(change) / statistics.median(parent)
-        within = ratio <= 1 + bound if metric["better"] == "lower" else ratio >= 1 - bound
+        median = statistics.median(parent)
+        ratio = statistics.median(change) / median
+        if metric["better"] == "lower":
+            within, dominates = ratio <= 1 + bound, max(change) < min(parent)
+        else:
+            within, dominates = ratio >= 1 - bound, min(change) > max(parent)
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (median,) * 3
+        spread = (q3 - q1) / median
         out[name] = {"ratio": ratio, "bound": bound, "better": metric["better"],
-                     "within_bound": within}
+                     "within_bound": within, "spread": spread,
+                     "resolved": spread <= bound or dominates}
         if name == "peak_rss_mib":
             out[name]["attempted_ratio"] = done / parent_done if parent_done else None
     return out
@@ -143,8 +158,9 @@ def _print_verdicts(report, parent_src_lines):
     for workload, entry in report["workloads"].items():
         for name, v in entry["verdicts"].items():
             sign = "+" if v["better"] == "lower" else "-"
+            verdict = "within" if v["resolved"] else "unresolved"
             line = (f"{workload:<14}{name:<14}{v['ratio']:>8.3f}{sign + format(v['bound'], '.0%'):>8}  "
-                    f"{'within' if v['within_bound'] else 'OUT OF BOUND'}")
+                    f"{verdict if v['within_bound'] else 'OUT OF BOUND'}")
             if "attempted_ratio" in v:
                 done = v["attempted_ratio"]
                 line += f"  attempted {done:.3f}" if done is not None else "  attempted n/a"
