@@ -3,8 +3,9 @@
 Diagonalizable groups are handled through their character groups (finitely
 generated abelian groups presented as cokernels); the anti-equivalence turns
 the Cech complex on the maximal cells into a complex of integer matrices
-whose cohomology is computed by Smith reduction.  H^0 is the automorphism
-group of the glued object and H^1 classifies twisted gluings.
+whose cocycles are an integer kernel, read off a Hermite basis, and whose
+invariants come from a Smith form.  H^0 is the automorphism group of the
+glued object and H^1 classifies twisted gluings.
 """
 
 import itertools

@@ -16,6 +16,7 @@ from .complexes import Cell, SSVComplex, complete_faces
 from .errors import DegenerateLiftError, DomainError, NotReducedError
 from .linalg import clear_denominators, primitive, solve_rational, vec_dot
 from .polyhedral import (
+    _closure,
     _dual,
     _generators,
     AffineMonoid,
@@ -223,9 +224,10 @@ def regular_subdivision(polytope, points, heights):
     inward normal points up; heights affine on the points add a linear form
     vanishing on that cone to the equations of the polytope.  The polytope
     keeps the points and cells of its subdivisions by value, for later ones
-    to share, and under the key ("masks", points) the cell of each lower
-    facet's bitmask of those points: a cell is the hull of the points on its
-    facet, so each mask is hulled once.
+    to share, and under the key ("masks", points) each cell by the bitmask of
+    its vertices among those points: the points on a lower facet that span
+    extreme rays of the lifted cone.  A cell is the hull of its vertices, so
+    each cell is hulled once, whatever non-vertex points its facet carries.
     """
     # one Fraction per coordinate value, shared by the points and their cells
     rational = {x: Fraction(x) for p in points for x in p}
@@ -249,12 +251,18 @@ def regular_subdivision(polytope, points, heights):
     facets, kernel = _dual(lifted, polytope.ambient_rank + 2)
     if len(kernel) > len(polytope.equations):
         return [polytope]
-    by_mask = shared.setdefault(("masks", tuple(pts)), {})
+    # a point is a cell vertex iff it spans an extreme ray of the lifted cone
+    count, masks = len(pts), [mask for _, mask in facets]
+    extreme = sum(1 << i for i in range(count) if _closure(1 << i, masks, count) == 1 << i)
+    by_vertices = shared.setdefault(("masks", tuple(pts)), {})
+    cells = []
     for n, mask in facets:
-        if n[-1] > 0 and mask not in by_mask:
-            hull = convex_hull([p for i, p in enumerate(pts) if mask >> i & 1])
-            by_mask[mask] = shared.setdefault(hull.vertices, hull)
-    cells = [by_mask[mask] for n, mask in facets if n[-1] > 0]
+        if n[-1] > 0:
+            key = mask & extreme
+            if key not in by_vertices:
+                hull = convex_hull([p for i, p in enumerate(pts) if key >> i & 1])
+                by_vertices[key] = shared.setdefault(hull.vertices, hull)
+            cells.append(by_vertices[key])
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
 

@@ -1,21 +1,16 @@
-"""Exact integer-lattice algebra: Smith and Hermite forms, subgroups of Z^d.
+"""Exact integer-lattice algebra: Hermite and Smith forms, subgroups of Z^d.
 
 Everything uses arbitrary-precision Python ints.  Subgroups are represented
 by a canonical Hermite-form basis, so equality of subgroups is equality of
-representations.
+representations; kernels, intersections and saturations are read off Hermite
+bases.  The Smith normal form is kept for invariant factors.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import ContainmentError
-from .linalg import (
-    canonical_direction,
-    mat_identity,
-    mat_inverse_unimodular,
-    mat_transpose,
-    mat_vec,
-    rational_nullspace,
-)
+from .linalg import canonical_direction, mat_identity, rational_nullspace
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,9 @@ def invariant_factors(matrix):
 def hermite_basis(generators, width):
     """Canonical row-Hermite basis of the subgroup spanned by the rows.
 
-    Pivots are positive, entries above each pivot are reduced into [0, pivot).
+    Pivots are positive and increase, later rows vanish at earlier pivots, and
+    entries above each pivot are reduced into [0, pivot): one basis per
+    subgroup.
     """
     rows = [list(g) for g in generators if any(x != 0 for x in g)]
     basis = []
@@ -148,47 +145,32 @@ def hermite_basis(generators, width):
                     r[k] -= q * carrier[k]
         if carrier[col] < 0:
             carrier = [-x for x in carrier]
+        # The carrier vanishes at every earlier pivot, so reducing the rows
+        # above it here keeps their earlier reductions.
+        for j, b in enumerate(basis):
+            q = b[col] // carrier[col]
+            if q != 0:
+                basis[j] = [a - q * c for a, c in zip(b, carrier)]
         basis.append(carrier)
         rows = [r for r in rows if any(x != 0 for x in r)]
-    # Reduce entries above pivots.
-    for i in reversed(range(len(basis))):
-        pcol = next(c for c in range(width) if basis[i][c] != 0)
-        for j in range(i):
-            q = basis[j][pcol] // basis[i][pcol]
-            if q != 0:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
     return tuple(tuple(r) for r in basis)
 
 
 def integer_kernel(matrix):
-    """Basis of the integer solutions of matrix * x = 0."""
+    """Hermite basis of the integer solutions of matrix * x = 0.
+
+    For an m x n matrix M the rows (column j of M, e_j) span {(Mx, x)}; the
+    rows of their Hermite basis that vanish on the first m coordinates, with
+    those dropped, are the kernel's Hermite basis.
+    """
     if not matrix:
         return ()
-    n = len(matrix[0])
-    snf = smith_normal_form(matrix)
-    rank = sum(1 for d in snf.diag if d != 0)
-    cols = mat_transpose(snf.right)
-    return tuple(cols[j] for j in range(rank, n))
-
-
-def solve_integer(matrix, target):
-    """One integer solution of matrix * x = target, or None."""
-    if not matrix:
-        return None
-    snf = smith_normal_form(matrix)
-    lb = mat_vec(snf.left, target)
-    n = len(matrix[0])
-    y = [0] * n
-    for i, v in enumerate(lb):
-        d = snf.diag[i] if i < len(snf.diag) else 0
-        if d == 0:
-            if v != 0:
-                return None
-        else:
-            if v % d != 0:
-                return None
-            y[i] = v // d
-    return mat_vec(snf.right, tuple(y))
+    m, n = len(matrix), len(matrix[0])
+    rows = [
+        tuple(row[j] for row in matrix) + tuple(int(i == j) for i in range(n))
+        for j in range(n)
+    ]
+    return tuple(b[m:] for b in hermite_basis(rows, m + n) if not any(b[:m]))
 
 
 @dataclass(frozen=True)
@@ -362,27 +344,8 @@ def saturation_and_index(sub, ambient):
     """Saturation of sub in ambient and the index of sub in it.
 
     The saturation is ambient intersected with the rational span of sub; the
-    index of sub inside it is always finite.
+    index of sub inside it, always finite, is the product of the invariant
+    factors of sub's coordinates in ambient.
     """
-    if sub.is_zero:
-        return Lattice(ambient.ambient_rank), 1
-    coords = coordinate_matrix(sub, ambient)
-    snf = smith_normal_form(coords)
-    rank = sum(1 for d in snf.diag if d != 0)
-    rinv = mat_inverse_unimodular(snf.right)
-    gens = [ambient.member(rinv[i]) for i in range(rank)]
-    index = 1
-    for d in snf.diag[:rank]:
-        index *= d
-    return Lattice(ambient.ambient_rank, gens), index
-
-
-def lattice_index(sub, ambient):
-    """Index [ambient : sub]; None when infinite."""
-    inv = quotient_invariants(sub, ambient)
-    if inv.free_rank:
-        return None
-    idx = 1
-    for t in inv.torsion:
-        idx *= t
-    return idx
+    index = prod(invariant_factors(coordinate_matrix(sub, ambient)))
+    return ambient.intersect_subspace(sub.basis), index

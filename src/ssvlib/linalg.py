@@ -58,10 +58,6 @@ def mat_mul(a, b):
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
-def mat_vec(m, v):
-    return tuple(vec_dot(row, v) for row in m)
-
-
 def mat_det(m):
     """Exact determinant (fraction-free for ints, Gaussian otherwise)."""
     n = len(m)
@@ -164,14 +160,3 @@ def solve_rational(m, b):
             return None
         sol[pc] = Fraction(row[ncols], row[pc])
     return tuple(sol)
-
-
-def mat_inverse_unimodular(m):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        sol = solve_rational(m, e)
-        cols.append(tuple(int(x) for x in sol))
-    return mat_transpose(cols)

@@ -19,7 +19,9 @@ polytope.
 enumerators: the first bounds the coefficients of a kernel basis of the
 degree map, found with Smith forms, through a Gram-matrix pseudo-inverse;
 the second takes coset representatives from the Smith form of the rays.
-Here their rational solves run on this module's ``solve_rational``.
+Here their rational solves run on this module's ``solve_rational``; the
+Smith-form kernels, solutions and inverses of this module come from
+``lattice_oracle``, not from the library.
 
 ``regular_subdivision`` and ``moment_set_is_convex`` are the library's
 earlier versions, which map every point into frame coordinates: the first
@@ -34,13 +36,13 @@ import math
 from fractions import Fraction
 from math import gcd
 
+from lattice_oracle import integer_kernel, mat_inverse_unimodular, solve_integer
 from ssvlib.errors import DegenerateLiftError, DimensionError
-from ssvlib.lattice import integer_kernel, smith_normal_form, solve_integer
+from ssvlib.lattice import smith_normal_form
 from ssvlib.linalg import (
     canonical_direction,
     clear_denominators,
     mat_det,
-    mat_inverse_unimodular,
     primitive,
     vec_dot,
     vec_sub,

@@ -83,6 +83,32 @@ def test_validate_pass_and_exit_codes(docs):
     assert res.returncode == 2
 
 
+# Rank 3: f's group is the same subgroup as a's and b's restricted to f, once
+# Hermite bases of three or more rows are reduced canonically; z is off apart
+# and its weight group has a torsion quotient.
+RANK3_DOCUMENT = """{"schema_version":"1","rank":3,"gamma":[[2,0,-1,1],[2,0,1,0],[1,-1,-1,-2],\
+[-1,-1,-1,-1]],"cells":[{"id":"a","vertices":[["0","0","0"],["2","0","0"],["0","2","0"],\
+["0","0","2"]],"weight_group":[[2,0,-1,1],[2,0,1,0],[1,-1,-1,-2],[-1,-1,-1,-1]]},{"id":"b",\
+"vertices":[["0","0","0"],["2","0","0"],["0","2","0"],["0","0","-2"]],"weight_group":\
+[[2,0,-1,1],[2,0,1,0],[1,-1,-1,-2],[-1,-1,-1,-1]]},{"id":"f","vertices":[["0","0","0"],\
+["2","0","0"],["0","2","0"]],"weight_group":[[0,0,3,0],[0,2,2,0],[1,1,6,0]]},{"id":"z",\
+"vertices":[["10","10","10"],["11","10","10"],["10","11","10"],["10","10","11"]],\
+"weight_group":[[4,0,-2,2],[2,0,1,0],[1,-1,-1,-2],[-1,-1,-1,-1]]}],"maximal":["a","b","z"]}"""
+
+
+def test_face_restrictions_compare_canonical_bases(tmp_path):
+    path = tmp_path / "rank3.json"
+    path.write_text(RANK3_DOCUMENT)
+    res = run_cli(["validate", "--format", "json", str(path)])
+    assert res.returncode == 1
+    checks = {c["name"]: c for c in json.loads(res.stdout)["results"]["checks"]}
+    failed = {name: c["witness"] for name, c in checks.items() if not c["passed"]}
+    assert failed == {
+        "weight-groups-direct-summands": "cell z weight group has torsion quotient"
+    }
+    assert checks["face-restrictions-agree"]["passed"]
+
+
 def test_sections_golden(docs):
     res = run_cli(
         ["sections", str(docs["chain"]), "--degree", "1", "--format", "json"]

@@ -110,7 +110,8 @@ def test_h0_against_sympy_smith_oracle():
 def test_h1_invariant_under_unimodular_change():
     # conjugate all data by a degree-preserving unimodular map of Z^(1+r):
     # (n, x) |-> (n, A x + n v); polytopes move by the affine map x -> A x + v
-    from ssvlib.linalg import mat_vec
+    def mat_vec(m, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
     a = ((1, 1), (0, 1))
     v = (1, 0)

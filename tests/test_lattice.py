@@ -1,22 +1,31 @@
 import random
 
+import lattice_oracle as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ssvlib import lattice
+from ssvlib.cohomology import build_gluing_complex, diag_cohomology
+from ssvlib.fixtures import triangle_pair_complex
 from ssvlib.lattice import (
     AbelianInvariants,
     Lattice,
     cokernel_invariants,
+    coordinate_matrix,
+    hermite_basis,
     integer_kernel,
     invariant_factors,
     is_direct_summand,
-    lattice_index,
     quotient_invariants,
     saturation_and_index,
     smith_normal_form,
-    solve_integer,
 )
-from ssvlib.linalg import mat_det, mat_mul
+from ssvlib.linalg import mat_det, mat_mul, mat_transpose
 from ssvlib.errors import ContainmentError
+
+EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+entry = st.integers(-6, 6)
 
 
 def reconstruct(snf, matrix):
@@ -104,9 +113,6 @@ def test_integer_kernel_and_solve():
     for k in integer_kernel(matrix):
         assert all(sum(row[i] * k[i] for i in range(3)) == 0 for row in matrix)
     assert len(integer_kernel(matrix)) == 2
-    sol = solve_integer(((2, 0), (0, 3)), (4, 9))
-    assert sol == (2, 3)
-    assert solve_integer(((2,),), (3,)) is None
 
 
 def test_hermite_canonical_and_membership():
@@ -116,6 +122,11 @@ def test_hermite_canonical_and_membership():
     assert (2, 0) in l1
     assert (1, 0) not in l1
     assert l1.coordinates((3, 1)) is not None
+    # each pivot reduces the rows above it once it is appended, so a later
+    # pivot cannot undo an earlier reduction
+    l3 = Lattice(3, [(0, 0, 2), (0, 1, 1), (1, 1, 0)])
+    assert l3.basis == ((1, 0, 1), (0, 1, 1), (0, 0, 2))
+    assert l3 == Lattice(3, [(1, 0, -1), (0, 1, 1), (0, 0, 2)])
 
 
 def test_zero_lattice():
@@ -149,6 +160,9 @@ def test_saturation_examples():
     diag = Lattice(2, [(1, 1)])
     sat, idx = saturation_and_index(diag, z2)
     assert sat == diag and idx == 1
+
+    with pytest.raises(ContainmentError):
+        saturation_and_index(Lattice(1, [(1,)]), Lattice(1, [(2,)]))
 
 
 def test_saturation_idempotent_and_index_matches_torsion():
@@ -196,9 +210,121 @@ def test_cokernel_invariants():
     inv = cokernel_invariants(((2, 0), (0, 3)), 2)
     assert inv == AbelianInvariants(0, (6,))
     assert str(inv) == "Z/6"
-    assert lattice_index(Lattice(2, [(2, 0), (0, 3)]), Lattice.standard(2)) == 6
-    assert lattice_index(Lattice(2, [(2, 0)]), Lattice.standard(2)) is None
 
 
 def test_invariant_factors():
     assert invariant_factors(((2, 4), (6, 8))) == (2, 4)
+
+
+def spans(rows, vector):
+    """Whether vector is an integer combination of rows, by the Smith oracle."""
+    if not rows:
+        return not any(vector)
+    return oracle.solve_integer(mat_transpose(rows), vector) is not None
+
+
+def random_row_operations(rng, rows):
+    """The rows after random swaps, negations and shears: the same subgroup."""
+    rows = [list(r) for r in rows]
+    for _ in range(3 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.randint(-3, 3)
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+            rows[i], rows[j] = rows[j], rows[i]
+    return [tuple(r) for r in rows]
+
+
+@st.composite
+def generator_sets(draw, max_width=6):
+    width = draw(st.integers(1, max_width))
+    return width, draw(st.lists(st.tuples(*[entry] * width), max_size=6))
+
+
+@EXAMPLES
+@given(generator_sets(), st.randoms(use_true_random=False))
+def test_hermite_basis_is_canonical(case, rng):
+    width, gens = case
+    basis = hermite_basis(gens, width)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(basis, pivots)):
+        assert row[p] > 0
+        assert all(0 <= above[p] < row[p] for above in basis[:i])
+    assert all(spans(basis, g) for g in gens)
+    assert all(spans(gens, b) for b in basis)
+    assert hermite_basis(basis, width) == basis
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert hermite_basis(shuffled, width) == basis
+    if gens:
+        assert hermite_basis(random_row_operations(rng, gens), width) == basis
+
+
+@EXAMPLES
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.tuples(*[entry] * n), min_size=1, max_size=5)))
+def test_integer_kernel_generates_the_smith_kernel(matrix):
+    kernel = integer_kernel(matrix)
+    for k in kernel:
+        assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in matrix)
+    expected = oracle.integer_kernel(matrix)
+    assert all(spans(expected, k) for k in kernel)
+    assert all(spans(kernel, k) for k in expected)
+    assert kernel == hermite_basis(expected, len(matrix[0]))
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """(sub, ambient) with sub inside ambient, both of Z^width."""
+    width, gens = draw(generator_sets(max_width=5))
+    ambient = Lattice(width, gens)
+    coords = draw(st.lists(st.tuples(*[entry] * ambient.rank), max_size=5))
+    return Lattice(width, [ambient.member(c) for c in coords]), ambient
+
+
+@EXAMPLES
+@given(subgroup_pairs())
+def test_saturation_and_index_match_the_smith_oracle(case):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    sub, ambient = case
+    sat, index = saturation_and_index(sub, ambient)
+    assert (sat, index) == oracle.saturation_and_index(sub, ambient)
+    expected = 1
+    coords = coordinate_matrix(sub, ambient)
+    if coords:
+        for f in sympy_factors(Matrix([list(r) for r in coords]), domain=ZZ):
+            expected *= int(f) or 1
+    assert index == expected
+
+
+@EXAMPLES
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[entry] * n), max_size=5),
+    st.lists(st.tuples(*[entry] * n), max_size=5),
+)))
+def test_intersection_matches_the_smith_oracle(case):
+    width, gens1, gens2 = case
+    a, b = Lattice(width, gens1), Lattice(width, gens2)
+    assert a.intersect(b) == oracle.intersect(a, b) == b.intersect(a)
+
+
+def test_subgroups_come_off_the_hermite_form(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("no Smith form is needed")
+
+    gluing = build_gluing_complex(triangle_pair_complex(), mode="toric")
+    expected = [diag_cohomology(gluing, d) for d in (0, 1)]
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    assert integer_kernel(((2, 4, 6), (1, 2, 3))) == ((1, 1, -1), (0, 3, -2))
+    a = Lattice(2, [(2, 0), (0, 1)])
+    assert a.intersect(Lattice(2, [(3, 0), (0, 1)])) == Lattice(2, [(6, 0), (0, 1)])
+    gamma = Lattice(3, [(1, 0, 0), (1, 2, 0), (1, 4, 2)])
+    sub = gamma.intersect_subspace([(1, 4, 0), (1, 4, 2)])
+    assert sub == Lattice(3, [(1, 4, 0), (0, 0, 2)])
+    assert [diag_cohomology(gluing, d) for d in (0, 1)] == expected

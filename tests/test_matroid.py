@@ -190,6 +190,21 @@ def test_octahedron_search_hulls_each_cell_once(monkeypatch):
     assert {c.vertices for cells in subdivisions for c in cells} <= set(hulled)
 
 
+def test_subdivision_cells_are_hulled_once_whatever_points_their_facets_carry(monkeypatch):
+    # (3;2,2,2) has weight points that are no vertex, and a lower facet
+    # carries different ones of them under different heights
+    hulled = []
+
+    def counting(points):
+        hull = convex_hull(points)
+        hulled.append(hull.vertices)
+        return hull
+
+    monkeypatch.setattr(degeneration, "convex_hull", counting)
+    enumerate_matroid_subdivisions(GradedShape(3, (2, 2, 2)), cap=1)
+    assert len(hulled) == len(set(hulled)) == 36
+
+
 def test_simplex_only_trivial():
     shape = GradedShape(1, (1, 1, 1))
     subdivisions = enumerate_matroid_subdivisions(shape, cap=2)

@@ -7,11 +7,11 @@ polytope, read off its descriptions, and the cone over its vertices.
 ``is_face_of`` is checked against the enumerated face lattice,
 ``face_vertex_sets``.  The kernel itself, double description, is compared
 with the exhaustive search it replaced, and its Bareiss kernel lines with
-the Smith-form ``integer_kernel``.  Regular
-subdivisions, also several in turn of one polytope, and the convexity flag
-of their cells are compared with the earlier versions that worked in frame
-coordinates, and the lattice points of graded slices and of simplicial
-parallelepipeds with the earlier Smith-form enumerators.
+the Hermite-form ``integer_kernel``.  Regular subdivisions, also several
+in turn of one polytope, and the convexity flag of their cells are compared
+with the earlier versions that worked in frame coordinates, and the lattice
+points of graded slices and of simplicial parallelepipeds with the earlier
+Smith-form enumerators.
 """
 
 import random
