@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice, is_direct_summand
-from .linalg import clear_denominators, integer_rref, mat_det, solve_rational
+from .linalg import clear_denominators, integer_rref, mat_det, solve_rational, vec_dot
 from .polyhedral import (
     _intersection_vertices,
     _is_face,
@@ -221,6 +221,47 @@ def moment_set_is_convex(complex_):
     return sum(volume(c.polytope) for c in maximal) == volume(hull)
 
 
+def _vertex_key(polytope):
+    """A polytope's vertex -> position map and its coordinate box (lows, highs)."""
+    columns = list(zip(*polytope.vertices))
+    return (
+        {v: k for k, v in enumerate(polytope.vertices)},
+        tuple(map(min, columns)),
+        tuple(map(max, columns)),
+    )
+
+
+def _pair_vertices(p, q, p_key, q_key):
+    """Sorted vertices of p cap q, as ``_intersection_vertices`` gives them.
+
+    Certificates that read only vertices and stored facets are tried in
+    this order: coordinate boxes strictly apart in some coordinate (empty);
+    the vertices of one polytope among those of the other (the first one);
+    a facet n . x >= c of one with exactly the common vertices S on it and
+    every vertex of the other at n . v <= c (conv S).  Any other pair is
+    intersected by double description.
+    """
+    if p.ambient_rank != q.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    (_, p_low, p_high), (q_index, q_low, q_high) = p_key, q_key
+    if any(hp < lq or hq < lp for lp, hp, lq, hq in zip(p_low, p_high, q_low, q_high)):
+        return ()
+    at = [q_index.get(v) for v in p.vertices]
+    common = tuple(v for v, k in zip(p.vertices, at) if k is not None)  # sorted, as p's are
+    if len(common) == len(p.vertices):
+        return p.vertices
+    if len(common) == len(q.vertices):
+        return q.vertices
+    if common:
+        in_p = sum(1 << i for i, k in enumerate(at) if k is not None)
+        in_q = sum(1 << k for k in at if k is not None)
+        for first, mask, other in ((p, in_p, q), (q, in_q, p)):
+            for (n, c), on in zip(first.inequalities, first._facet_masks):
+                if on == mask and all(vec_dot(n, v) <= c for v in other.vertices):
+                    return common
+    return _intersection_vertices(p, q)
+
+
 def validate_complex(complex_):
     """Structural validation; failures carry concrete witnesses.
 
@@ -228,7 +269,9 @@ def validate_complex(complex_):
     are common faces and stored cells; containment agrees with the face
     relation; weight groups are direct summands of the ambient group and
     restrict consistently to common faces.  The convexity flag decides the
-    Cohen-Macaulay flag.  Each intersection is a vertex set, never hulled.
+    Cohen-Macaulay flag.  Each intersection is a vertex set, never hulled,
+    and most are settled by a certificate before any double description
+    (``_pair_vertices``), on each cell's ``_vertex_key`` built once per call.
 
     Two checks follow from earlier ones and search for a witness only when
     those fail.  If every pairwise intersection is a common face, a cell
@@ -247,16 +290,18 @@ def validate_complex(complex_):
 
     inter_witness = ""
     glued = []  # (id of the stored intersection, a, b)
+    keys = [_vertex_key(c.polytope) for c in cells]
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             a, b = cells[i], cells[j]
             if a.polytope == b.polytope:
                 inter_witness = f"cells {a.id},{b.id} share a polytope"
                 break
-            inter = _intersection_vertices(a.polytope, b.polytope)
+            inter = _pair_vertices(a.polytope, b.polytope, keys[i], keys[j])
             if not inter:
                 continue
-            if not (_is_face(inter, a.polytope) and _is_face(inter, b.polytope)):
+            if not (_is_face(inter, a.polytope, keys[i][0])
+                    and _is_face(inter, b.polytope, keys[j][0])):
                 inter_witness = f"cells {a.id},{b.id} intersect but not in a common face"
                 break
             stored = complex_.cell_with_vertices(inter)

@@ -337,14 +337,16 @@ def convex_hull(points):
     )
 
 
-def _is_face(vertices, polytope):
+def _is_face(vertices, polytope, index=None):
     """True iff the points are exactly the vertices of a face of the polytope.
 
     Faces are vertex-index sets closed under the facet meet: an index set is
     a face exactly when it equals the intersection of the facet vertex sets
-    containing it (the empty intersection is every vertex).
+    containing it (the empty intersection is every vertex).  ``index`` maps
+    each vertex to its position, for a caller that keeps one.
     """
-    index = {v: i for i, v in enumerate(polytope.vertices)}
+    if index is None:
+        index = {v: i for i, v in enumerate(polytope.vertices)}
     found = [index.get(v) for v in vertices]
     if None in found:
         return False

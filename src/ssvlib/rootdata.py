@@ -250,7 +250,11 @@ def is_w_admissible(datum, polytope):
     """Admissibility of a polytope for the Weyl group action.
 
     True iff the relative interior meets the closed dominant chamber and the
-    distinct Weyl translates have pairwise disjoint relative interiors.
+    distinct Weyl translates have pairwise disjoint relative interiors, as
+    they have when a hyperplane separates them properly (Rockafellar,
+    *Convex Analysis*, Thm 11.3).  A positive root's hyperplane does when
+    the two translates' vertex images lie on opposite closed sides of it and
+    not all on it; only a pair no root settles is hulled and intersected.
     """
     if datum.rank != polytope.ambient_rank:
         raise RankError("polytope rank does not match the root datum")
@@ -263,19 +267,38 @@ def is_w_admissible(datum, polytope):
     if not meet or not polytope.relint_contains(_barycenter(meet)):
         return False
     # An invertible map sends vertices to vertices, so a translate is known by
-    # its sorted vertex images; one common denominator keeps the keys exact.
+    # its sorted vertex images; one common denominator keeps the keys exact,
+    # and positive multiples keep the signs of the root values.
     r = polytope.ambient_rank
     flat = clear_denominators([x for v in polytope.vertices for x in v])
     scaled = [flat[i:i + r] for i in range(0, len(flat), r)]
-    seen = set()
-    translates = []
+    translates = {}  # sorted vertex images -> (first matrix giving them, images)
     for m in root_datum(datum.label).weyl_matrices():
-        key = tuple(sorted(tuple(vec_dot(row, v) for row in m) for v in scaled))
-        if key not in seen:
-            seen.add(key)
-            translates.append(polytope.transformed(m))
-    for a in range(len(translates)):
-        for b in range(a + 1, len(translates)):
-            if relative_interiors_meet(translates[a], translates[b]):
+        images = [tuple(vec_dot(row, v) for row in m) for v in scaled]
+        translates.setdefault(tuple(sorted(images)), (m, images))
+    if len(translates) == 1:
+        return True
+    # (x, alpha) up to a positive factor, for each positive root alpha
+    roots = [clear_denominators([m * d for m, d in zip(alpha, datum.d)])
+             for alpha in datum.positive_roots()]
+    signs = []  # per translate: the roots >= 0 on it and the roots <= 0 on it, as bitmasks
+    for _, images in translates.values():
+        values = [[vec_dot(f, x) for x in images] for f in roots]
+        signs.append((
+            sum(1 << k for k, vals in enumerate(values) if min(vals) >= 0),
+            sum(1 << k for k, vals in enumerate(values) if max(vals) <= 0),
+        ))
+    matrices = [m for m, _ in translates.values()]
+    hulls = {}
+    for a, (above_a, below_a) in enumerate(signs):
+        for b in range(a + 1, len(signs)):
+            above_b, below_b = signs[b]
+            on_both = above_a & below_a & above_b & below_b
+            if (above_a & below_b | below_a & above_b) & ~on_both:
+                continue
+            for t in (a, b):
+                if t not in hulls:
+                    hulls[t] = polytope.transformed(matrices[t])
+            if relative_interiors_meet(hulls[a], hulls[b]):
                 return False
     return True

@@ -29,6 +29,13 @@ hulls the lifted frame coordinates and reads the lower facets off that hull,
 the second measures each cell's volume in the frame of the union's hull.
 Here both run on this module's ``convex_hull`` and ``_AffineFrame`` (whose
 ``coords`` and ``dim`` are those of the library's later integer frame).
+
+``_intersection_vertices`` and ``_is_face`` are validation's earlier pair
+path, which intersected every pair of cells by double description and
+rebuilt the vertex index of a polytope for each face test; they are the
+oracle for the certificates that now settle most pairs first.  Here the
+intersection joins the cones of this module's ``cone_over``, and reads the
+vertices off the rays with the library's ``_cone_vertices``.
 """
 
 import itertools
@@ -47,7 +54,7 @@ from ssvlib.linalg import (
     vec_dot,
     vec_sub,
 )
-from ssvlib.polyhedral import DIMENSION_CAP, Cone, Polytope
+from ssvlib.polyhedral import DIMENSION_CAP, Cone, Polytope, _closure, _cone_vertices
 
 
 def mat_rank(m):
@@ -682,3 +689,28 @@ def _simplicial_box_points(rays):
                     shifted[i] -= fl * row[i]
         points.add(tuple(shifted))
     return points
+
+
+def _intersection_vertices(p, q):
+    """Sorted vertices of the intersection of two polytopes; () when empty."""
+    if p.ambient_rank != q.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    a, b = cone_over(p), cone_over(q)
+    return _cone_vertices(
+        a.ambient_rank, a.inequalities + b.inequalities, a.equations + b.equations
+    )
+
+
+def _is_face(vertices, polytope):
+    """True iff the points are exactly the vertices of a face of the polytope.
+
+    Faces are vertex-index sets closed under the facet meet: an index set is
+    a face exactly when it equals the intersection of the facet vertex sets
+    containing it (the empty intersection is every vertex).
+    """
+    index = {v: i for i, v in enumerate(polytope.vertices)}
+    found = [index.get(v) for v in vertices]
+    if None in found:
+        return False
+    mine = sum(1 << i for i in found)
+    return _closure(mine, polytope._facet_masks, len(index)) == mine

@@ -1,5 +1,6 @@
 import pytest
 
+from ssvlib import complexes
 from ssvlib.complexes import (
     Cell,
     MultiplicationBehavior,
@@ -13,6 +14,7 @@ from ssvlib.complexes import (
     validate_complex,
     vq_module_data,
 )
+from ssvlib.degeneration import regular_subdivision
 from ssvlib.errors import OutsideSupportError, ParamError, RankError, ValidationError
 from ssvlib.fixtures import (
     overlapping_squares_complex,
@@ -21,7 +23,7 @@ from ssvlib.fixtures import (
     triangle_pair_complex,
 )
 from ssvlib.lattice import Lattice
-from ssvlib.polyhedral import convex_hull
+from ssvlib.polyhedral import cone_over, convex_hull
 from ssvlib.rootdata import root_datum
 
 
@@ -73,6 +75,31 @@ def test_overlapping_squares_fail():
         assert "a" in failure.witness and "b" in failure.witness
         with pytest.raises(ValidationError):
             x.ensure_valid()
+
+
+def test_frame_validation_settles_most_pairs_by_certificate(monkeypatch):
+    # the size-4 triangle, heights 0 inside and 2 on the boundary: 4 cells and
+    # 15 faces, 171 pairs, of which the boxes, nested vertex sets and facets
+    # on the common vertices settle all but 29 without double description
+    points = [(x, y) for x in range(5) for y in range(5 - x)]
+    heights = [0 if (x > 0 and y > 0 and x + y < 4) else 2 for (x, y) in points]
+    gamma = Lattice.standard(3)
+    cells = regular_subdivision(convex_hull([(0, 0), (4, 0), (0, 4)]), points, heights)
+    wrapped = [
+        Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays)) for i, p in enumerate(cells)
+    ]
+    full = complete_faces(SSVComplex(2, gamma, wrapped, [c.id for c in wrapped]))
+    intersect = complexes._intersection_vertices
+    intersected = []
+
+    def counting(p, q):
+        intersected.append((p, q))
+        return intersect(p, q)
+
+    monkeypatch.setattr(complexes, "_intersection_vertices", counting)
+    assert len(full.cells) == 19
+    assert validate_complex(full).passed
+    assert len(intersected) <= 29
 
 
 def test_missing_face_cell_fails():

@@ -11,7 +11,9 @@ the Hermite-form ``integer_kernel``.  Regular subdivisions, also several
 in turn of one polytope, and the convexity flag of their cells are compared
 with the earlier versions that worked in frame coordinates, and the lattice
 points of graded slices and of simplicial parallelepipeds with the earlier
-Smith-form enumerators.
+Smith-form enumerators.  Validation's certified pair path must give the
+intersection and face tests of the double-description path it replaced, on
+pairs that share faces, touch at a vertex, nest or are lower-dimensional.
 """
 
 import random
@@ -21,7 +23,14 @@ import polyhedral_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssvlib.complexes import Cell, SSVComplex, _volume_of_points, moment_set_is_convex
+from ssvlib.complexes import (
+    Cell,
+    SSVComplex,
+    _pair_vertices,
+    _vertex_key,
+    _volume_of_points,
+    moment_set_is_convex,
+)
 from ssvlib.degeneration import regular_subdivision
 from ssvlib.lattice import Lattice, integer_kernel
 from ssvlib.linalg import integer_rref, mat_rank, vec_dot
@@ -360,3 +369,53 @@ def test_convexity_flag_matches_oracle(case, data):
     for polytopes in (cells, [cells[i] for i in sorted(chosen)]):
         complex_ = _complex(polytopes)
         assert moment_set_is_convex(complex_) == oracle.moment_set_is_convex(complex_)
+
+
+@st.composite
+def polytope_pairs(draw):
+    """(p, q): two polytopes in Q^1 to Q^3, or embedded in a larger space.
+
+    A third of them are two cells or faces of one regular subdivision: they
+    share a face, touch at a vertex, nest, are apart or are
+    lower-dimensional.  A third are a random hull and the hull of a few of
+    its vertices and a few other points, which mostly overlap, nest or share
+    vertices in no common face.  The rest are a random hull and the hull of
+    the vertices of one of its facets and of points mirrored beyond that
+    facet, which meet in the facet or a face of it.
+    """
+    kind = draw(st.sampled_from(["subdivision", "kept", "mirrored"]))
+    if kind == "subdivision":
+        points, heights = draw(lifted_points())
+        cells = regular_subdivision(convex_hull(points), points, heights)
+        faces = sorted(
+            {c.face_polytope(f) for c in cells for f in c.face_vertex_sets()},
+            key=lambda f: (f.dim, f.vertices),
+        )
+        return draw(st.sampled_from(cells)), draw(st.sampled_from(cells) | st.sampled_from(faces))
+    d, points = draw(vector_lists(coordinate, (1, 3), 1, 6))
+    p = convex_hull(points)
+    others = st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=3)
+    if kind == "kept" or not p.inequalities:
+        kept = draw(st.lists(st.sampled_from(p.vertices), max_size=3))
+        return p, convex_hull(kept + draw(others))
+    (n, c), mask = draw(st.sampled_from(list(zip(p.inequalities, p._facet_masks))))
+    on = [v for i, v in enumerate(p.vertices) if mask >> i & 1]
+    kept = draw(st.lists(st.sampled_from(on), min_size=1, max_size=len(on), unique=True))
+    mirrored = []
+    for x in draw(others):
+        excess = vec_dot(n, x) - c  # n . x' = c - |excess| after mirroring
+        mirrored.append(tuple(
+            a - 2 * max(excess, 0) * b / vec_dot(n, n) for a, b in zip(x, n)
+        ))
+    return p, convex_hull(kept + mirrored)
+
+
+@EXAMPLES
+@given(polytope_pairs())
+def test_certified_pairs_match_double_description(pair):
+    p, q = pair
+    keys = _vertex_key(p), _vertex_key(q)
+    inter = _pair_vertices(p, q, *keys)
+    assert inter == oracle._intersection_vertices(p, q)
+    for polytope, (index, _, _) in zip(pair, keys):
+        assert _is_face(inter, polytope, index) == oracle._is_face(inter, polytope)

@@ -5,7 +5,9 @@ Random heights on the fixtures' point sets must give the same reduced flag,
 witness, exponent and special fiber, also along the route `ssv degenerate`
 takes (the cells of the unscaled heights wrapped directly).  Orbit hulls
 are invariant under the Weyl group, so they have one translate; dominant
-hulls and shifted orbit hulls have several, which runs the pairwise test.  Completed regular
+hulls, shifted orbit hulls and simplices on fundamental weights have
+several, which runs the pairwise test, and the root-sign certificates in it
+up to rank 4.  Completed regular
 subdivisions, whole or with one cell or group broken, must get the oracle's
 validation report, witnesses included.
 """
@@ -143,6 +145,66 @@ def test_admissibility_of_moved_polytopes_matches_oracle():
 
     check()
     assert outcomes == {True, False}
+
+
+def _simplex(offset, corners):
+    """conv(offset, offset + corner for each corner), corners in weight coordinates."""
+    return convex_hull([offset] + [tuple(a + b for a, b in zip(offset, c)) for c in corners])
+
+
+def _multiples(datum, scales):
+    """k omega_i for the nonzero scales k, one per simple index i."""
+    n = datum.rank
+    return [tuple(k if j == i else 0 for j in range(n)) for i, k in enumerate(scales) if k]
+
+
+@st.composite
+def moved_polytopes(draw):
+    """(datum, polytope) over A2, A3, B2, B3, C3, and few over A4 and B4.
+
+    In rank 2 and 3: a dominant hull, a shifted orbit hull, or a simplex on
+    multiples of fundamental weights moved by a half-integral offset, which
+    may cross a wall.  In rank 4, where the oracle intersects up to 73,536
+    pairs of translates: a simplex on one or two multiples at the origin,
+    with few translates, or the simplex on rho and rho + 2 omega_i moved
+    across the wall of omega_j, which the oracle rejects early.
+    """
+    if draw(st.integers(0, 4)) == 0:
+        datum = root_datum(draw(st.sampled_from(("A4", "B4"))))
+        if draw(st.booleans()):
+            chosen = draw(st.dictionaries(st.integers(0, 3), st.integers(1, 2), min_size=1, max_size=2))
+            scales = [chosen.get(i, 0) for i in range(4)]
+            return datum, _simplex((0,) * 4, _multiples(datum, scales))
+        j = draw(st.integers(0, 3))
+        offset = tuple(1 - 2 * (i == j) for i in range(4))
+        return datum, _simplex(offset, _multiples(datum, (2,) * 4))
+    datum, weight = draw(dominant_weights(("A2", "A3", "B2", "B3", "C3")))
+    shift = st.integers(-2, 2).map(lambda n: Fraction(n, 2))
+    offset = draw(st.tuples(*[shift] * datum.rank))
+    kind = draw(st.sampled_from(("dominant", "shifted", "simplex")))
+    if kind == "dominant":
+        return datum, dominant_hull(datum, weight)
+    if kind == "shifted":
+        return datum, convex_hull([tuple(a + b for a, b in zip(v, offset)) for v in weyl_orbit(datum, weight)])
+    scales = draw(st.lists(st.integers(0, 2), min_size=datum.rank, max_size=datum.rank))
+    assume(any(scales))
+    return datum, _simplex(offset, _multiples(datum, scales))
+
+
+def test_admissibility_of_moved_polytopes_up_to_rank_4_matches_oracle():
+    outcomes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(moved_polytopes())
+    def check(case):
+        datum, polytope = case
+        result = is_w_admissible(datum, polytope)
+        assert result == oracle.is_w_admissible(datum, polytope)
+        if _reaches_pairwise_test(datum, polytope):
+            outcomes.add((datum.rank == 4, result))
+
+    check()
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
 
 
 # the lattice of (d, x, y) with x and y even holds no cell's Z^3 cap span(cone)

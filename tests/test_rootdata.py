@@ -1,10 +1,11 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
 from ssvlib.errors import NotDominantError, RankError
-from ssvlib.polyhedral import convex_hull
+from ssvlib.polyhedral import Polytope, convex_hull
 from ssvlib.rootdata import (
     dominant_hull,
     is_w_admissible,
@@ -197,6 +198,28 @@ def test_w_admissible_a1():
     assert not is_w_admissible(a1, convex_hull([(-1,), (2,)]))
     # relative interior misses the chamber entirely
     assert not is_w_admissible(a1, convex_hull([(-2,), (-1,)]))
+
+
+# a gate: more than 3 times the measured median of about 0.1 s, far below
+# the 29 s that hulling and intersecting every pair of translates took
+MOVED_B4_BUDGET_S = 2.0
+
+
+def test_moved_b4_simplex_is_settled_by_root_signs(monkeypatch):
+    # the simplex on rho and rho + 2 omega_i lies in the open dominant
+    # chamber, so its 384 translates lie in distinct chambers and a positive
+    # root separates each of the 73,536 pairs: no translate is hulled
+    datum = root_datum("B4")
+    simplex = convex_hull([(1, 1, 1, 1)] + [tuple(1 + 2 * (j == i) for j in range(4)) for i in range(4)])
+
+    def hull_translate(polytope, matrix):
+        raise AssertionError("a pair of translates was left to the double description")
+
+    monkeypatch.setattr(Polytope, "transformed", hull_translate)
+    started = time.perf_counter()
+    assert is_w_admissible(datum, simplex)
+    elapsed = time.perf_counter() - started
+    assert elapsed < MOVED_B4_BUDGET_S, f"took {elapsed:.2f}s"
 
 
 def test_orbit_hull_always_admissible():
