@@ -1,7 +1,7 @@
 """Command-line interface: deterministic reports over JSON documents.
 
 Exit codes: 0 success, 1 domain failure (with the witness in the report),
-2 usage or parse error.
+2 usage, parse or document error.
 """
 
 import argparse
@@ -435,14 +435,12 @@ def main(argv=None):
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     args.argv_echo = ["ssv"] + argv
+    text = None
     try:
         if args.subcommand == "catalog":
-            code, doc, text = _cmd_catalog(args)
-            _emit(doc, args, raw_text=text)
-            return code
-        code, report = _HANDLERS[args.subcommand](args)
-        _emit(report, args)
-        return code
+            code, report, text = _cmd_catalog(args)
+        else:
+            code, report = _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
@@ -450,9 +448,13 @@ def main(argv=None):
         sys.stderr.write(f"document error: {exc}\n")
         return 2
     except SSVError as exc:
-        report = {"command": args.argv_echo, "error": str(exc)}
-        _emit(report, args)
-        return 1
+        code, report = 1, {"command": args.argv_echo, "error": str(exc)}
+    try:
+        _emit(report, args, raw_text=text)
+    except OSError as exc:
+        sys.stderr.write(f"document error: cannot write {args.out}: {exc.strerror}\n")
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -6,13 +6,15 @@ heights at finitely many points of the degree-one slice.  It encodes a
 degeneration: the graph cone is the weight cone of the total space, the
 special fiber is reduced iff the function is integral on the weight monoid,
 and the induced regular subdivision is the special fiber's cell complex.
+``complexes`` is imported inside ``_fiber_complex``, the one function here
+that builds a complex, so the matroid search, which needs regular
+subdivisions alone, never loads it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .complexes import Cell, SSVComplex, complete_faces
 from .errors import DegenerateLiftError, DomainError, NotReducedError
 from .linalg import clear_denominators, primitive, solve_rational, vec_dot
 from .polyhedral import (
@@ -214,27 +216,20 @@ def base_change_exponent(height, monoid):
     return _integrality(height, monoid)[2]
 
 
-def regular_subdivision(polytope, points, heights):
-    """Cells of the regular subdivision induced by lifted heights.
+def _configuration(polytope, points):
+    """(points, rows, cells by vertex mask): checked lift points, kept on the polytope.
 
-    Cells are the projections of the lower-hull facets of the lifted point
-    set (equivalently the linearity domains of the lower envelope); all
-    heights affinely dependent yields the trivial subdivision.  The lower
-    facets are the facets of the cone over the lifted points (1, p, h) whose
-    inward normal points up; heights affine on the points add a linear form
-    vanishing on that cone to the equations of the polytope.  The polytope
-    keeps the points and cells of its subdivisions by value, for later ones
-    to share, and under the key ("masks", points) each cell by the bitmask of
-    its vertices among those points: the points on a lower facet that span
-    extreme rays of the lifted cone.  A cell is the hull of its vertices, so
-    each cell is hulled once, whatever non-vertex points its facet carries.
+    Made once per points tuple, after the entry checks pass: the shared
+    Fraction points, their integer rows (d, d p) with d the least common
+    denominator of p, and the table of cells by vertex bitmask.
     """
+    key = ("config", tuple(map(tuple, points)))
+    config = (polytope._shared or {}).get(key)
+    if config is not None:
+        return config
     # one Fraction per coordinate value, shared by the points and their cells
     rational = {x: Fraction(x) for p in points for x in p}
     pts = [tuple(rational[x] for x in p) for p in points]
-    hts = [Fraction(h) for h in heights]
-    if len(pts) != len(hts):
-        raise ValueError("points and heights must have equal lengths")
     if len(set(pts)) != len(pts):
         raise DegenerateLiftError("duplicate lift points")
     for p in pts:
@@ -247,21 +242,53 @@ def regular_subdivision(polytope, points, heights):
         object.__setattr__(polytope, "_shared", {})
     shared = polytope._shared
     pts = [shared.setdefault(p, p) for p in pts]
-    lifted = [clear_denominators((1,) + p + (h,)) for p, h in zip(pts, hts)]
-    facets, kernel = _dual(lifted, polytope.ambient_rank + 2)
+    shared[key] = (pts, [clear_denominators((1,) + p) for p in pts], {})
+    return shared[key]
+
+
+def _lift(row, h):
+    """``clear_denominators((1,) + p + (h,))`` from the row (d, d p) of p."""
+    d, b = row[0], h.denominator
+    m = b // gcd(d, b)  # lcm(d, b) / d
+    return (row if m == 1 else tuple(x * m for x in row)) + (h.numerator * (d * m // b),)
+
+
+def regular_subdivision(polytope, points, heights):
+    """Cells of the regular subdivision induced by lifted heights.
+
+    Cells are the projections of the lower-hull facets of the lifted point
+    set (equivalently the linearity domains of the lower envelope); all
+    heights affinely dependent yields the trivial subdivision.  The lower
+    facets are the facets of the cone over the lifted points (1, p, h) whose
+    inward normal points up; heights affine on the points add a linear form
+    vanishing on that cone to the equations of the polytope.  The polytope
+    keeps the points and cells of its subdivisions by value, for later ones
+    to share, and under the key ("config", points) the configuration of the
+    points, made once their entry checks (duplicates, containment, spanning)
+    pass: a lift is a point's integer row (d, d p) extended by d h, both
+    scaled to clear the denominator of h, and each cell is kept by the
+    bitmask of its vertices among the points, those on a lower facet that
+    span extreme rays of the lifted cone.  A cell is the hull of its
+    vertices, so each cell is hulled once, whatever non-vertex points its
+    facet carries.
+    """
+    hts = [Fraction(h) for h in heights]
+    if len(points) != len(hts):
+        raise ValueError("points and heights must have equal lengths")
+    pts, rows, by_vertices = _configuration(polytope, points)
+    facets, kernel = _dual([_lift(r, h) for r, h in zip(rows, hts)], polytope.ambient_rank + 2)
     if len(kernel) > len(polytope.equations):
         return [polytope]
     # a point is a cell vertex iff it spans an extreme ray of the lifted cone
     count, masks = len(pts), [mask for _, mask in facets]
     extreme = sum(1 << i for i in range(count) if _closure(1 << i, masks, count) == 1 << i)
-    by_vertices = shared.setdefault(("masks", tuple(pts)), {})
     cells = []
     for n, mask in facets:
         if n[-1] > 0:
             key = mask & extreme
             if key not in by_vertices:
                 hull = convex_hull([p for i, p in enumerate(pts) if key >> i & 1])
-                by_vertices[key] = shared.setdefault(hull.vertices, hull)
+                by_vertices[key] = polytope._shared.setdefault(hull.vertices, hull)
             cells.append(by_vertices[key])
     cells.sort(key=lambda p: (p.dim, p.vertices))
     return cells
@@ -291,6 +318,8 @@ def special_fiber_complex(gamma, polytope, points, heights):
 
 def _fiber_complex(gamma, cells):
     """The completed complex on regular-subdivision cells, saturated groups."""
+    from .complexes import Cell, SSVComplex, complete_faces
+
     wrapped = [
         Cell(f"c{i}", cell, gamma.intersect_subspace([(1,) + v for v in cell.vertices]))
         for i, cell in enumerate(cells)

@@ -186,9 +186,9 @@ class Polytope:
     polytope exactly.  Vertices are exactly the extreme points; each
     inequality's vertex indices are kept as a bitmask (``facet_vertex_sets``).
     ``_shared`` holds the points and cells of regular subdivisions of the
-    polytope by value, and per points tuple each cell by the bitmask of its
-    vertices among those points (``degeneration.regular_subdivision``);
-    ``_cone`` holds ``cone_over`` once it is asked for.
+    polytope by value, and per points tuple their checked configuration
+    (``degeneration.regular_subdivision``); ``_cone`` holds ``cone_over``
+    once it is asked for.
     """
 
     __slots__ = (

@@ -104,3 +104,36 @@ def test_src_lines_counts_the_library_modules_only(tmp_path):
     runs = {"w": {"change": [{"attempted": 1, "metrics": {}}]}}
     report = bench._report("x", runs, "change", tmp_path)
     assert report["src_lines"] == 3
+
+
+def test_the_set_up_probe_is_timed_directly_without_a_timeout(capsys):
+    bench = _bench()
+    calls = []
+
+    class Done:
+        returncode = 0
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return Done()
+
+    # five probes of 0.3, 0.1, 0.2, 0.5 and 0.4 s: the median is 0.3 s
+    ticks = iter([0.0, 0.3, 1.0, 1.1, 2.0, 2.2, 3.0, 3.5, 4.0, 4.4])
+    assert abs(bench.probe_s("/parent", "moduli-enum", 301, run, lambda: next(ticks)) - 0.3) < 1e-12
+    assert len(calls) == bench.PROBES == 5
+    argv, kwargs = calls[0]
+    assert argv[1:] == ["perfbench/run.py", "--workload", "moduli-enum", "--seed", "301", "--setup-probe"]
+    # a timeout makes the wait poll in steps of up to 50 ms
+    assert kwargs["cwd"] == "/parent" and "timeout" not in kwargs
+
+    Done.returncode = 1
+    assert bench.probe_s("/parent", "moduli-enum", 301, run, lambda: 0.0) is None
+
+    runs = [{"attempted": 1, "metrics": {}, "probe_s": p} for p in (0.12, None, 0.10, 0.11)]
+    assert bench._report("x", {"w": {"change": runs}}, "change", "/none")["workloads"]["w"]["probe_s"] == 0.11
+    report = {"workloads": {"w": {"verdicts": {}, "probe": {"parent": 0.1315, "change": 0.1096,
+                                                           "ratio": 0.1096 / 0.1315}}},
+              "src_lines": 1}
+    bench._print_verdicts(report, 1)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1] == "w             probe_s: parent 0.1315 s, change 0.1096 s, ratio 0.833"

@@ -323,6 +323,23 @@ def test_out_file(docs, tmp_path):
     assert payload["results"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", P1XP1],
+        # a domain failure writes its report through the same path
+        ["matroid", "thincell", "--r", "2", "--ranks", "1,1,1,1", "--d", '{"": 1}'],
+    ],
+)
+def test_out_file_that_cannot_be_opened_is_a_document_error(argv, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    res = run_cli(argv + ["--out", str(out)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"document error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def test_shipped_fixture_documents_round_trip():
     from ssvlib.documents import document_to_heights, heights_to_document, load_json
 

@@ -11,11 +11,12 @@ from ssvlib.degeneration import (
     regular_subdivision,
     special_fiber_complex,
     special_fiber_reduced,
+    subdivision_cell,
 )
 from ssvlib.errors import DegenerateLiftError, DomainError, NotReducedError
 from ssvlib.fixtures import sl2_chain_complex
 from ssvlib.lattice import Lattice
-from ssvlib.polyhedral import AffineMonoid, Cone, convex_hull, cone_over
+from ssvlib.polyhedral import AffineMonoid, Cone, Polytope, convex_hull, cone_over
 
 
 def F(*args):
@@ -193,6 +194,28 @@ def test_failed_entry_check_leaves_no_table_entry():
     before = entries()
     fail_all()
     assert entries() == before
+
+
+def test_entry_checks_run_once_per_points_tuple(monkeypatch):
+    points = [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), F(1, 2))]
+    square = convex_hull(points)
+    calls = []
+    contains = Polytope.contains_point
+    monkeypatch.setattr(Polytope, "contains_point", lambda p, x: calls.append(x) or contains(p, x))
+    regular_subdivision(square, points, [0, 0, 0, 1, 0])
+    assert len(calls) == len(points)
+    # equal points in another form read the configuration the first call made
+    regular_subdivision(square, [list(p) for p in points], [1, 0, 0, 0, F(1, 2)])
+    regular_subdivision(square, tuple(tuple(F(x) for x in p) for p in points), [0] * 5)
+    assert len(calls) == len(points)
+
+
+def test_first_subdivision_keeps_its_cells_for_subdivision_cell():
+    points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    square = convex_hull(points)
+    cells = regular_subdivision(square, points, [0, 0, 0, 1])
+    assert len(cells) == 2
+    assert all(subdivision_cell(square, c.vertices) is c for c in cells)
 
 
 def test_lifted_height_function_values():

@@ -8,7 +8,8 @@ polytope, read off its descriptions, and the cone over its vertices.
 ``face_vertex_sets``.  The kernel itself, double description, is compared
 with the exhaustive search it replaced, and its Bareiss kernel lines with
 the Hermite-form ``integer_kernel``.  Regular subdivisions, also several
-in turn of one polytope, and the convexity flag of their cells are compared
+in turn of one polytope with its points as int tuples, Fraction tuples or
+lists, and the convexity flag of their cells are compared
 with the earlier versions that worked in frame coordinates, and the lattice
 points of graded slices and of simplicial parallelepipeds with the earlier
 Smith-form enumerators.  Validation's certified pair path must give the
@@ -348,6 +349,41 @@ def test_subdivisions_of_one_polytope_match_oracle(case):
         reference = oracle.regular_subdivision(reference_polytope, points, heights)
         assert [_polytope_parts(c) for c in results[-1]] == [_polytope_parts(c) for c in reference]
     assert all(a is b for a, b in zip(results[0], results[1], strict=True))
+
+
+half_integer = st.one_of(st.integers(-3, 3), st.integers(-6, 6).map(lambda k: Fraction(k, 2)))
+POINT_FORMS = (
+    lambda ps: [tuple(p) for p in ps],
+    lambda ps: [tuple(Fraction(x) for x in p) for p in ps],
+    lambda ps: [list(p) for p in ps],
+)
+
+
+@st.composite
+def configuration_runs(draw):
+    """(lattice points, runs): 3-6 integral or half-integral height vectors, some flat."""
+    d = draw(st.integers(1, 3))
+    size = draw(st.integers(d + 1, d + 4))
+    points = draw(st.lists(st.tuples(*[integer] * d), min_size=size, max_size=size, unique=True))
+    flat = st.tuples(half_integer, st.tuples(*[integer] * d)).map(
+        lambda ab: [ab[0] + vec_dot(ab[1], p) for p in points]
+    )
+    heights = st.one_of(st.lists(half_integer, min_size=size, max_size=size), flat)
+    return points, draw(st.lists(heights, min_size=3, max_size=6))
+
+
+@EXAMPLES
+@given(configuration_runs())
+def test_prepared_configuration_matches_oracle_whatever_form_the_points_take(case):
+    # the polytope keeps one configuration for the points by value; the runs
+    # read it with the points as int tuples, Fraction tuples and lists in turn
+    points, runs = case
+    polytope, reference_polytope = convex_hull(points), oracle.convex_hull(points)
+    for i, heights in enumerate(runs):
+        mine = regular_subdivision(polytope, POINT_FORMS[i % 3](points), heights)
+        reference = oracle.regular_subdivision(reference_polytope, points, heights)
+        assert [_polytope_parts(c) for c in mine] == [_polytope_parts(c) for c in reference]
+    assert [k for k in polytope._shared if k[0] == "config"] == [("config", tuple(points))]
 
 
 def _complex(polytopes):

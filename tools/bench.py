@@ -29,8 +29,14 @@ verdict also carries the same ratio for ``attempted``, so that a rise in the
 peak can be read against the operations completed.  Each file also records
 ``src_lines``, the line count of its checkout's ``src/ssvlib/*.py``, and the
 paired run prints both counts under the verdict table, so that a change that
-grows the library shows on every paired run.  perfbench itself is only
-invoked, never changed.
+grows the library shows on every paired run.  After each run the set-up
+probe (``perfbench/run.py --setup-probe``: import, inputs and warm-up in a
+fresh interpreter) is timed ``PROBES`` times directly, and the run keeps the
+median as ``probe_s``; perfbench's own ``setup_s`` waits on each probe with a
+timeout, and that wait polls in steps of up to 50 ms, which hide a
+difference of a few tens of milliseconds.  The paired run prints, under the
+verdict table, each workload's median ``probe_s`` of both checkouts and
+their ratio.  perfbench itself is only invoked, never changed.
 """
 
 import argparse
@@ -41,10 +47,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ten pairs: a claimed gain must hold in at least nine of them
 SEEDS = tuple(range(301, 311))
+PROBES = 5
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import WORKLOADS  # noqa: E402
@@ -72,6 +80,24 @@ def run_once(root, workload, seed):
         sys.stderr.write(proc.stderr)
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                 "exit_code": proc.returncode}
+
+
+def probe_s(root, workload, seed, run=subprocess.run, clock=time.perf_counter):
+    """Median wall time of ``PROBES`` set-up probes, each awaited with no timeout; None if one fails."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--setup-probe"]
+    times = []
+    for _ in range(PROBES):
+        started = clock()
+        if run(argv, cwd=root, stdout=subprocess.DEVNULL).returncode:
+            return None
+        times.append(clock() - started)
+    return statistics.median(times)
+
+
+def _probe_median(runs):
+    probes = [run["probe_s"] for run in runs if run.get("probe_s") is not None]
+    return statistics.median(probes) if probes else None
 
 
 def src_lines(root):
@@ -165,6 +191,11 @@ def _print_verdicts(report, parent_src_lines):
                 done = v["attempted_ratio"]
                 line += f"  attempted {done:.3f}" if done is not None else "  attempted n/a"
             print(line)
+    for workload, entry in report["workloads"].items():
+        if "probe" in entry:
+            probe = entry["probe"]
+            print(f"{workload:<14}probe_s: parent {probe['parent']:.4f} s, "
+                  f"change {probe['change']:.4f} s, ratio {probe['ratio']:.3f}")
     lines = report["src_lines"]
     print(f"src/ssvlib/*.py lines: parent {parent_src_lines}, change {lines} "
           f"({lines - parent_src_lines:+d})")
@@ -180,6 +211,7 @@ def _report(label, sides, name, root):
         "workloads": {
             workload: {
                 "attempted": statistics.median(run["attempted"] for run in runs[name]),
+                "probe_s": _probe_median(runs[name]),
                 "metrics": summarize(runs[name]),
                 "runs": runs[name],
             }
@@ -209,12 +241,14 @@ def main(argv=None):
             order = list(roots) if pair % 2 else list(roots)[::-1]
             for position, name in enumerate(order):
                 run = run_once(roots[name], workload, seed)
-                run.update(seed=seed, pair=pair, first=position == 0)
+                run.update(seed=seed, pair=pair, first=position == 0,
+                           probe_s=probe_s(roots[name], workload, seed))
                 sides[workload][name].append(run)
                 all_ok = all_ok and run["correct"] and run["failed"] == 0
                 wall = run["metrics"].get("wall_s", {}).get("value")
                 print(f"{workload} seed {seed} {name}: correct={run['correct']} "
-                      f"attempted={run['attempted']} failed={run['failed']} wall_s={wall}",
+                      f"attempted={run['attempted']} failed={run['failed']} wall_s={wall} "
+                      f"probe_s={run['probe_s']}",
                       flush=True)
     report = _report(args.label, sides, "change", roots["change"])
     if args.root:
@@ -224,6 +258,10 @@ def main(argv=None):
             entry = report["workloads"][workload]
             entry["pairs"] = compare(runs["change"], runs["parent"])
             entry["verdicts"] = verdicts(runs["change"], runs["parent"], end_to_end)
+            probes = _probe_median(runs["change"]), _probe_median(runs["parent"])
+            if None not in probes:
+                entry["probe"] = {"change": probes[0], "parent": probes[1],
+                                  "ratio": probes[0] / probes[1]}
         parent = _report("parent", sides, "parent", roots["parent"])
         _write(parent)
     _write(report)
