@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice, is_direct_summand
-from .linalg import clear_denominators, integer_rref, mat_det, solve_rational, vec_dot
+from .linalg import clear_denominators, integer_rref, solve_rational, vec_dot
 from .polyhedral import (
     _intersection_vertices,
     _is_face,
@@ -189,12 +189,15 @@ def _volume_of_points(points):
     hull = convex_hull(points)
     if hull.dim < d:
         return Fraction(0)
-    # |det| of a homogenized simplex is d! times its volume
-    rays = [(1,) + v for v in hull.vertices]
-    total = sum(
-        abs(mat_det([rays[i] for i in simplex])) for simplex in _triangulate_rays(rays)
-    )
-    return Fraction(total) / math.factorial(d)
+    # |det| of a homogenized simplex is d! times its volume; on the integer
+    # rows s (1, v) elimination ends at D I with D = +-det, and each row's
+    # first entry s divides out of it
+    rays = [clear_denominators((1,) + v) for v in hull.vertices]
+    total = Fraction(0)
+    for simplex in _triangulate_rays(rays):
+        rows = [rays[i] for i in simplex]
+        total += Fraction(abs(integer_rref(rows)[0][-1][-1]), math.prod(row[0] for row in rows))
+    return total / math.factorial(d)
 
 
 def moment_set_is_convex(complex_):

@@ -49,41 +49,6 @@ def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_transpose(m):
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a, b):
-    bt = mat_transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
-def mat_det(m):
-    """Exact determinant (fraction-free for ints, Gaussian otherwise)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    rows = [list(map(Fraction, row)) for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                for k in range(c, n):
-                    rows[r][k] -= f * rows[c][k]
-    if det.denominator == 1:
-        return int(det)
-    return det
-
-
 def mat_rank(m):
     return len(integer_rref([clear_denominators(row) for row in m])[1])
 
@@ -94,7 +59,8 @@ def integer_rref(m):
     Returns (rows, pivot_columns) with the pivot columns of the rational
     reduced row echelon form and rows equal to that form times the last
     pivot D, one value on every pivot.  Every entry is a minor of the input,
-    so each step divides exactly by the previous pivot.
+    so each step divides exactly by the previous pivot; a nonsingular square
+    matrix ends at D I with D = +-det.
     """
     rows = [list(row) for row in m]
     ncols = len(rows[0]) if rows else 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .errors import InvalidRankDataError, NonLatticeError, ParamError, SearchBudgetError
 from .linalg import primitive, vec_sub
-from .polyhedral import convex_hull, in_convex_hull
+from .polyhedral import Cone, convex_hull
 from .degeneration import regular_subdivision, subdivision_cell
 
 SEARCH_BUDGET = 200_000
@@ -128,11 +128,13 @@ def thin_cell_weight_set(shape, rank_data):
                 break
         if ok:
             kept.append(p)
-    for p in points:
-        if p in kept:
-            continue
-        if in_convex_hull(p, kept):
-            return kept, False, p
+    if kept:
+        # p lies in the hull of the kept points iff (1, p) lies in the cone over them
+        cone = Cone.from_rays(shape.positions + 1, [(1,) + q for q in kept])
+        held = set(kept)
+        for p in points:
+            if p not in held and cone.contains((1,) + p):
+                return kept, False, p
     return kept, True, None
 
 

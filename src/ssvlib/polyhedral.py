@@ -18,10 +18,11 @@ sits between the kernel and every caller:
   the extreme rays of what is left.
 
 A hull is the cone over its homogenized points (1, p): the facets of that
-cone are the facets of the polytope, and a point is a vertex exactly when
-the facets through it meet in it alone (extreme rays of a pointed cone
-likewise).  The points (1, v) span the rows of the (1, p) and so share
-their pivot frame, where primitive normals and kernel lines are unique;
+cone are the facets of the polytope, a point is a vertex exactly when the
+facets through it meet in it alone (extreme rays of a pointed cone
+likewise), and a point x lies in the hull exactly when the cone holds
+(1, x), which ``matroid.thin_cell_weight_set`` tests with no hull.  The
+points (1, v) span the rows of the (1, p) and so share their pivot frame, where primitive normals and kernel lines are unique;
 hence ``cone_over`` reads the cone off the polytope's facets and
 equations.  The vertices of {n.x >= c} are the rays (s, s v), s > 0, of the
 cone -c s + n.x >= 0, s >= 0, so a pairwise intersection, which joins the
@@ -270,12 +271,6 @@ class Polytope:
     def is_face_of(self, other):
         """True iff this polytope is a face of the other one."""
         return _is_face(self.vertices, other)
-
-    def transformed(self, matrix):
-        """Image under an invertible linear map given by rows."""
-        return convex_hull(
-            [tuple(vec_dot(row, v) for row in matrix) for v in self.vertices]
-        )
 
 
 @dataclass(frozen=True)
@@ -739,68 +734,3 @@ def is_saturated_monoid(monoid):
             return False, h
     return True, None
 
-
-def in_convex_hull(point, points):
-    """Exact membership of a point in the hull of the given points.
-
-    Phase-one simplex with Bland's rule on the convex-combination system;
-    used instead of a full hull when the point set is large.
-    """
-    pts = list(points)
-    if not pts:
-        return False
-    d = len(point)
-    # sum mu_i p_i = point, sum mu_i = 1, mu >= 0.
-    rows = [[Fraction(p[i]) for p in pts] for i in range(d)]
-    rhs = [Fraction(point[i]) for i in range(d)]
-    rows.append([Fraction(1)] * len(pts))
-    rhs.append(Fraction(1))
-    return _lp_feasible(rows, rhs)
-
-
-def _lp_feasible(rows, rhs):
-    """Feasibility of rows . x = rhs, x >= 0 (exact phase-one simplex).
-
-    Bland's rule guarantees termination.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    tab = []
-    for i in range(m):
-        if rhs[i] < 0:
-            row = [-Fraction(x) for x in rows[i]]
-            b = -Fraction(rhs[i])
-        else:
-            row = [Fraction(x) for x in rows[i]]
-            b = Fraction(rhs[i])
-        tab.append(row + [Fraction(1 if j == i else 0) for j in range(m)] + [b])
-    # Minimize the sum of artificials; z tracks reduced costs, z[-1] the
-    # negated objective.
-    z = [Fraction(0)] * (n + m + 1)
-    for j in list(range(n)) + [n + m]:
-        z[j] = -sum(tab[i][j] for i in range(m))
-    basis = list(range(n, n + m))
-    while True:
-        enter = next((j for j in range(n + m) if z[j] < 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                key = (tab[i][-1] / tab[i][enter], basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            break  # cannot happen: phase one is bounded below
-        piv = best[1]
-        pv = tab[piv][enter]
-        tab[piv] = [x / pv for x in tab[piv]]
-        for i in range(m):
-            if i != piv and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[piv])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, tab[piv])]
-        basis[piv] = enter
-    return z[-1] == 0

@@ -2,14 +2,17 @@
 
 Weights are tuples of rationals in the fundamental-weight basis.  Supported
 types: A1-A4, B2-B4, C2-C4, D3-D4 and products thereof (label "A1xA1"),
-total rank at most 4.
+total rank at most 4.  The Weyl group acts through its simple reflections
+(``RootDatum.reflect``) alone: an orbit, and the translates of a polytope's
+vertex set, are walks over them, so each function works with the Cartan
+matrix of the datum it is given, whatever its label.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDominantError, RankError
-from .linalg import clear_denominators, mat_identity, mat_mul, solve_rational, vec_dot
+from .linalg import clear_denominators, solve_rational, vec_dot
 from .polyhedral import _barycenter, _halfspace_vertices, convex_hull, from_halfspaces
 from .polyhedral import relative_interiors_meet
 
@@ -83,31 +86,6 @@ class RootDatum:
         ai = self.simple_root(i)
         c = weight[i]
         return tuple(w - c * a for w, a in zip(weight, ai))
-
-    def reflection_matrix(self, i):
-        n = self.rank
-        ai = self.simple_root(i)
-        return tuple(
-            tuple((1 if k == j else 0) - (ai[k] if j == i else 0) for j in range(n))
-            for k in range(n)
-        )
-
-    def weyl_matrices(self):
-        """All Weyl group elements as matrices acting on weight coordinates."""
-        n = self.rank
-        gens = [self.reflection_matrix(i) for i in range(n)]
-        seen = {mat_identity(n)}
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for m in frontier:
-                for g in gens:
-                    prod = mat_mul(g, m)
-                    if prod not in seen:
-                        seen.add(prod)
-                        fresh.append(prod)
-            frontier = fresh
-        return sorted(seen)
 
     def positive_roots(self):
         """Positive roots as coefficient tuples over the simple roots."""
@@ -184,23 +162,32 @@ def root_datum(label):
     return RootDatum(label, tuple(tuple(r) for r in cartan), tuple(d))
 
 
-def weyl_orbit(datum, weight):
-    """The Weyl group orbit of a weight, sorted."""
-    if datum.rank > RANK_CAP:
-        raise RankError("rank exceeds the orbit cap")
-    weight = tuple(Fraction(w) for w in weight)
-    seen = {weight}
-    frontier = [weight]
+def _translates(datum, points):
+    """The Weyl translates of a finite point set, each as its sorted points.
+
+    The simple reflections generate W, so walking them from the sorted
+    points until no new tuple appears reaches every translate.
+    """
+    start = tuple(sorted(points))
+    seen = {start}
+    frontier = [start]
     while frontier:
         fresh = []
-        for w in frontier:
+        for key in frontier:
             for i in range(datum.rank):
-                img = datum.reflect(i, w)
+                img = tuple(sorted(datum.reflect(i, p) for p in key))
                 if img not in seen:
                     seen.add(img)
                     fresh.append(img)
         frontier = fresh
-    return sorted(seen)
+    return seen
+
+
+def weyl_orbit(datum, weight):
+    """The Weyl group orbit of a weight, sorted."""
+    if datum.rank > RANK_CAP:
+        raise RankError("rank exceeds the orbit cap")
+    return sorted(p for (p,) in _translates(datum, [tuple(Fraction(w) for w in weight)]))
 
 
 def weyl_dimension(datum, weight):
@@ -267,28 +254,24 @@ def is_w_admissible(datum, polytope):
     if not meet or not polytope.relint_contains(_barycenter(meet)):
         return False
     # An invertible map sends vertices to vertices, so a translate is known by
-    # its sorted vertex images; one common denominator keeps the keys exact,
-    # and positive multiples keep the signs of the root values.
+    # its sorted vertex images; one common denominator keeps them integral,
+    # and a positive multiple keeps the signs of the root values and whether
+    # two translates' relative interiors meet.
     r = polytope.ambient_rank
     flat = clear_denominators([x for v in polytope.vertices for x in v])
-    scaled = [flat[i:i + r] for i in range(0, len(flat), r)]
-    translates = {}  # sorted vertex images -> (first matrix giving them, images)
-    for m in root_datum(datum.label).weyl_matrices():
-        images = [tuple(vec_dot(row, v) for row in m) for v in scaled]
-        translates.setdefault(tuple(sorted(images)), (m, images))
+    translates = sorted(_translates(datum, [flat[i:i + r] for i in range(0, len(flat), r)]))
     if len(translates) == 1:
         return True
     # (x, alpha) up to a positive factor, for each positive root alpha
     roots = [clear_denominators([m * d for m, d in zip(alpha, datum.d)])
              for alpha in datum.positive_roots()]
     signs = []  # per translate: the roots >= 0 on it and the roots <= 0 on it, as bitmasks
-    for _, images in translates.values():
+    for images in translates:
         values = [[vec_dot(f, x) for x in images] for f in roots]
         signs.append((
             sum(1 << k for k, vals in enumerate(values) if min(vals) >= 0),
             sum(1 << k for k, vals in enumerate(values) if max(vals) <= 0),
         ))
-    matrices = [m for m, _ in translates.values()]
     hulls = {}
     for a, (above_a, below_a) in enumerate(signs):
         for b in range(a + 1, len(signs)):
@@ -298,7 +281,7 @@ def is_w_admissible(datum, polytope):
                 continue
             for t in (a, b):
                 if t not in hulls:
-                    hulls[t] = polytope.transformed(matrices[t])
+                    hulls[t] = convex_hull(translates[t])
             if relative_interiors_meet(hulls[a], hulls[b]):
                 return False
     return True

@@ -10,7 +10,7 @@ these stay as an independent oracle.  ``mat_vec`` is the earlier
 """
 
 from ssvlib.lattice import Lattice, coordinate_matrix, smith_normal_form
-from ssvlib.linalg import mat_transpose, solve_rational, vec_dot
+from ssvlib.linalg import solve_rational, vec_dot
 
 
 def mat_vec(m, v):
@@ -25,7 +25,7 @@ def mat_inverse_unimodular(m):
         e = tuple(1 if i == j else 0 for i in range(n))
         sol = solve_rational(m, e)
         cols.append(tuple(int(x) for x in sol))
-    return mat_transpose(cols)
+    return tuple(zip(*cols))
 
 
 def integer_kernel(matrix):
@@ -35,7 +35,7 @@ def integer_kernel(matrix):
     n = len(matrix[0])
     snf = smith_normal_form(matrix)
     rank = sum(1 for d in snf.diag if d != 0)
-    cols = mat_transpose(snf.right)
+    cols = tuple(zip(*snf.right))
     return tuple(cols[j] for j in range(rank, n))
 
 

@@ -7,8 +7,9 @@ rational nullspace or linear system per subset, so only small inputs are
 practical.  ``supporting_normals`` is that kernel's own earlier exhaustive
 search over (k - 1)-subsets, the oracle for its double description, and
 ``_AffineFrame`` the earlier rational reduced-row-echelon frame.  The
-elimination here is the earlier Fraction Gaussian elimination, independent
-of the library's fraction-free ``integer_rref``.
+elimination here is the earlier Fraction Gaussian elimination, and volumes
+take sympy's exact determinant, both independent of the library's
+fraction-free ``integer_rref``.
 
 ``cone_over`` is the library's earlier version, which hulls the points
 (1, v) again with ``Cone.from_rays`` instead of reading the cone off the
@@ -44,12 +45,12 @@ from fractions import Fraction
 from math import gcd
 
 from lattice_oracle import integer_kernel, mat_inverse_unimodular, solve_integer
+from sympy import Matrix
 from ssvlib.errors import DegenerateLiftError, DimensionError
 from ssvlib.lattice import smith_normal_form
 from ssvlib.linalg import (
     canonical_direction,
     clear_denominators,
-    mat_det,
     primitive,
     vec_dot,
     vec_sub,
@@ -481,7 +482,8 @@ def _volume_of_points(points):
         for simplex in _triangulate_full(fcoords):
             pts = [_frame_lift(fframe, s) for s in simplex]
             mat = [vec_sub(p, apex) for p in pts]
-            total += abs(mat_det(mat))
+            det = Matrix(mat).det()
+            total += abs(Fraction(int(det.p), int(det.q)))
     factorial = 1
     for i in range(2, d + 1):
         factorial *= i

@@ -7,7 +7,9 @@ basis value, ``base_change_exponent`` walks the bases again, and each checks
 coverage on its own; ``special_fiber_complex`` rebuilds the height function,
 the monoid and its integrality check before wrapping the cells.
 ``is_w_admissible`` hulls every Weyl image of the polytope and keeps the
-images not equal to one kept before.  ``validate_complex`` runs its
+images not equal to one kept before; it enumerates the group as the
+matrices of ``weyl_matrices``, products of ``reflection_matrix`` ones, and
+maps the polytope by ``transformed``.  ``validate_complex`` runs its
 containment and face-restriction loops on every input, also when the
 checks before them already imply that these pass.
 
@@ -37,7 +39,7 @@ from ssvlib.degeneration import (
 )
 from ssvlib.errors import ContainmentError, NotReducedError, RankError
 from ssvlib.lattice import is_direct_summand
-from ssvlib.linalg import clear_denominators
+from ssvlib.linalg import clear_denominators, mat_identity, vec_dot
 from ssvlib.polyhedral import AffineMonoid, _pointed_rays, cone_over, convex_hull, hilbert_basis
 from ssvlib.rootdata import root_datum
 
@@ -174,8 +176,8 @@ def is_w_admissible(datum, polytope):
     if not polytope.relint_contains(barycenter(meet)):
         return False
     translates = []
-    for m in root_datum(datum.label).weyl_matrices():
-        img = polytope.transformed(m)
+    for m in weyl_matrices(root_datum(datum.label)):
+        img = transformed(polytope, m)
         if img not in translates:
             translates.append(img)
     for a in range(len(translates)):
@@ -183,6 +185,45 @@ def is_w_admissible(datum, polytope):
             if relative_interiors_meet(translates[a], translates[b]):
                 return False
     return True
+
+
+def reflection_matrix(datum, i):
+    n = datum.rank
+    ai = datum.simple_root(i)
+    return tuple(
+        tuple((1 if k == j else 0) - (ai[k] if j == i else 0) for j in range(n))
+        for k in range(n)
+    )
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+
+
+def weyl_matrices(datum):
+    """All Weyl group elements as matrices acting on weight coordinates."""
+    n = datum.rank
+    gens = [reflection_matrix(datum, i) for i in range(n)]
+    seen = {mat_identity(n)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(g, m)
+                if prod not in seen:
+                    seen.add(prod)
+                    fresh.append(prod)
+        frontier = fresh
+    return sorted(seen)
+
+
+def transformed(polytope, matrix):
+    """Image under an invertible linear map given by rows."""
+    return convex_hull(
+        [tuple(vec_dot(row, v) for row in matrix) for v in polytope.vertices]
+    )
 
 
 def validate_complex(complex_):

@@ -1,6 +1,7 @@
-"""`tools/bench.py`: the bound verdicts and library line counts it prints after a paired run."""
+"""`tools/bench.py`: the bound verdicts and library and test line counts it prints after a paired run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
@@ -45,12 +46,14 @@ def test_verdicts_read_the_median_ratio_against_the_bound(capsys):
     # the peak's verdict, and only it, reads against the operations run: 500 / 380
     assert out["peak_rss_mib"]["attempted_ratio"] == 500 / 380
     assert all("attempted_ratio" not in out[name] for name in ("wall_s", "ops_per_s"))
-    bench._print_verdicts({"workloads": {"w": {"verdicts": out}}, "src_lines": 4090}, 4104)
+    bench._print_verdicts({"workloads": {"w": {"verdicts": out}}, "src_lines": 4090, "tests_lines": 5210},
+                          {"src_lines": 4104, "tests_lines": 5150})
     printed = capsys.readouterr().out.splitlines()
     peak_line = next(line for line in printed if "peak_rss_mib" in line)
     assert peak_line.endswith("OUT OF BOUND  attempted 1.316")
-    # the library's line counts of both checkouts close the table
-    assert printed[-1] == "src/ssvlib/*.py lines: parent 4104, change 4090 (-14)"
+    # the line counts of both checkouts' library and tests close the table
+    assert printed[-2:] == ["src/ssvlib/*.py lines: parent 4104, change 4090 (-14)",
+                            "tests/*.py lines: parent 5150, change 5210 (+60)"]
     # a parent that attempted nothing has no ratio
     idle = bench.verdicts(change, _runs(peak_rss_mib=[20.0] * 3, attempted=[0] * 3), end_to_end[1:2])
     assert idle["peak_rss_mib"]["attempted_ratio"] is None
@@ -81,8 +84,8 @@ def test_a_within_bound_reading_wider_than_its_bound_is_unresolved(capsys):
     report = {"workloads": {"bimodal": {"verdicts": {"setup_s": bimodal}},
                             "tight": {"verdicts": {"setup_s": tight}},
                             "slower": {"verdicts": {"setup_s": slower}}},
-              "src_lines": 1}
-    bench._print_verdicts(report, 1)
+              "src_lines": 1, "tests_lines": 1}
+    bench._print_verdicts(report, report)
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[-1] for line in printed[1:4]] == ["unresolved", "within", "BOUND"]
 
@@ -133,7 +136,39 @@ def test_the_set_up_probe_is_timed_directly_without_a_timeout(capsys):
     assert bench._report("x", {"w": {"change": runs}}, "change", "/none")["workloads"]["w"]["probe_s"] == 0.11
     report = {"workloads": {"w": {"verdicts": {}, "probe": {"parent": 0.1315, "change": 0.1096,
                                                            "ratio": 0.1096 / 0.1315}}},
-              "src_lines": 1}
-    bench._print_verdicts(report, 1)
+              "src_lines": 1, "tests_lines": 1}
+    bench._print_verdicts(report, report)
     printed = capsys.readouterr().out.splitlines()
     assert printed[1] == "w             probe_s: parent 0.1315 s, change 0.1096 s, ratio 0.833"
+
+
+def test_a_paired_run_records_and_prints_library_and_test_lines(tmp_path, monkeypatch, capsys):
+    bench = _bench()
+    roots = {}
+    for name, library, tests in (("change", 3, 5), ("parent", 4, 2)):
+        root = tmp_path / name
+        (root / "src" / "ssvlib").mkdir(parents=True)
+        (root / "src" / "ssvlib" / "a.py").write_text("x = 1\n" * library)
+        (root / "tests").mkdir()
+        (root / "tests" / "test_a.py").write_text("y = 2\n" * tests)
+        (root / "tests" / "data.json").write_text("not\ncounted\n")
+        roots[name] = root
+    (roots["change"] / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+
+    def run_once(root, workload, seed):
+        wall = 1.0 if root == str(roots["change"]) else 1.1
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+    monkeypatch.setattr(bench, "ROOT", str(roots["change"]))
+    monkeypatch.setattr(bench, "WORKLOADS", ["w"])
+    monkeypatch.setattr(bench, "SEEDS", (301, 302))
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "probe_s", lambda root, workload, seed: 0.1)
+    assert bench.main(["--label", "x", "--root", str(roots["parent"])]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == ["src/ssvlib/*.py lines: parent 4, change 3 (-1)",
+                            "tests/*.py lines: parent 2, change 5 (+3)"]
+    for label, lines in (("x", (3, 5)), ("parent", (4, 2))):
+        report = json.loads((roots["change"] / f"BENCH_{label}.json").read_text())
+        assert (report["src_lines"], report["tests_lines"]) == lines

@@ -197,6 +197,20 @@ def test_matroid_commands():
     assert res.returncode == 1  # boundary condition d(empty) = 0 violated
 
 
+def test_thin_cell_past_the_hull_dimension_cap():
+    # eight positions: the fullness test runs on the cone over the kept
+    # points, with no hull of them, so the hull cap of six does not apply
+    res = run_cli(
+        ["matroid", "thincell", "--r", "4", "--ranks", "1,1,1,1,1,1,1,1",
+         "--d", '{"0123": 1, "4567": 1}', "--format", "json"]
+    )
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["results"]["count"] == 68
+    assert payload["results"]["full"] is True
+    assert payload["results"]["witness"] is None
+
+
 def test_moment_command():
     res = run_cli(
         ["moment", "--root-datum", "A2", "--weight", "1,0", "--admissible", "--format", "json"]

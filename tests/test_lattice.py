@@ -4,6 +4,7 @@ import lattice_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from ssvlib import lattice
 from ssvlib.cohomology import build_gluing_complex, diag_cohomology
@@ -21,15 +22,23 @@ from ssvlib.lattice import (
     saturation_and_index,
     smith_normal_form,
 )
-from ssvlib.linalg import mat_det, mat_mul, mat_transpose
+from ssvlib.linalg import integer_rref
 from ssvlib.errors import ContainmentError
 
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 entry = st.integers(-6, 6)
 
 
+def product(*matrices):
+    """The exact product, by sympy, as a tuple of int rows."""
+    out = Matrix(matrices[0])
+    for m in matrices[1:]:
+        out = out * Matrix(m)
+    return tuple(tuple(int(x) for x in out.row(i)) for i in range(out.rows))
+
+
 def reconstruct(snf, matrix):
-    return mat_mul(mat_mul(snf.left, matrix), snf.right)
+    return product(snf.left, matrix, snf.right)
 
 
 def assert_valid_snf(matrix):
@@ -45,8 +54,8 @@ def assert_valid_snf(matrix):
             assert b % a == 0
         else:
             assert b == 0
-    assert abs(mat_det(snf.left)) == 1
-    assert abs(mat_det(snf.right)) == 1
+    assert abs(Matrix(snf.left).det()) == 1
+    assert abs(Matrix(snf.right).det()) == 1
     return snf
 
 
@@ -104,8 +113,38 @@ def test_snf_invariant_under_unimodular_multiplication():
         matrix = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
         u = random_unimodular(rng, n)
         v = random_unimodular(rng, n)
-        transformed = mat_mul(mat_mul(u, matrix), v)
+        transformed = product(u, matrix, v)
         assert smith_normal_form(matrix).diag == smith_normal_form(transformed).diag
+
+
+@st.composite
+def square_matrices(draw):
+    """(rows, singular): an n x n integer matrix, n <= 5, whose last row is
+    an integer combination of the others when ``singular``."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    singular = draw(st.booleans())
+    if singular:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return rows, singular
+
+
+@EXAMPLES
+@given(square_matrices())
+def test_integer_rref_ends_at_the_determinant_times_identity(case):
+    rows, singular = case
+    n = len(rows)
+    det = Matrix(rows).det()
+    reduced, pivots = integer_rref(rows)
+    if singular:
+        assert det == 0
+    if det == 0:
+        assert len(pivots) < n
+    else:
+        last = reduced[-1][-1]
+        assert abs(last) == abs(det)
+        assert reduced == [[last if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_integer_kernel_and_solve():
@@ -220,7 +259,7 @@ def spans(rows, vector):
     """Whether vector is an integer combination of rows, by the Smith oracle."""
     if not rows:
         return not any(vector)
-    return oracle.solve_integer(mat_transpose(rows), vector) is not None
+    return oracle.solve_integer(tuple(zip(*rows)), vector) is not None
 
 
 def random_row_operations(rng, rows):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import matroid_oracle
 import pytest
@@ -23,7 +24,7 @@ from ssvlib.matroid import (
     thin_cell_weight_set,
     weight_set,
 )
-from ssvlib.polyhedral import convex_hull, cone_over
+from ssvlib.polyhedral import Cone, convex_hull, cone_over
 
 
 def octa_shape():
@@ -120,11 +121,48 @@ def test_thin_cell_non_full_witness():
 
 
 def test_non_full_set_detection_direct():
-    # bypass rank data: fullness checking is about hull lattice points
-    from ssvlib.polyhedral import in_convex_hull
-
+    # bypass rank data: a point is in the hull of the kept points exactly
+    # when the cone over the kept (1, q) holds (1, p), the thin cell's test
     kept = [(0, 2, 0), (2, 0, 0), (0, 0, 2)]
-    assert in_convex_hull((1, 1, 0), kept)
+    cone = Cone.from_rays(4, [(1,) + q for q in kept])
+    assert cone.contains((1, 1, 1, 0))
+    assert cone.contains((1, 0, 0, 2))
+    assert not cone.contains((1, 1, 0, 0))  # coordinate sum 1, off the plane
+    assert not cone.contains((1, 3, 0, -1))  # on the plane, outside the triangle
+
+
+def _random_rank_data(rng):
+    """A valid RankFunctionData that raises one or two bounds above the box's."""
+    while True:
+        n = rng.randint(2, 6)
+        ranks = tuple(rng.randint(1, 2) for _ in range(n))
+        shape = GradedShape(rng.randint(1, sum(ranks) - 1), ranks)
+        box = RankFunctionData(shape)
+        entries = {}
+        for _ in range(rng.randint(1, 2)):
+            subset = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+            entries[subset] = box.bound(subset) + rng.randint(1, 2)
+        try:
+            return shape, RankFunctionData(shape, entries)
+        except InvalidRankDataError:
+            continue
+
+
+def test_thin_cells_are_the_filtered_box_and_full():
+    # the rank data cut an M-natural-convex set out of the box, and such a
+    # set holds every lattice point of its hull (Murota, Discrete Convex
+    # Analysis, 2003), so each thin cell is full
+    rng = random.Random(7)
+    for _ in range(200):
+        shape, data = _random_rank_data(rng)
+        expected = [
+            p for p in itertools.product(*(range(m + 1) for m in shape.ranks))
+            if sum(p) == shape.r
+            and all(sum(p[i] for i in subset) >= bound for subset, bound in data.table.items())
+        ]
+        points, full, witness = thin_cell_weight_set(shape, data)
+        assert points == expected, (shape, data.table)
+        assert full and witness is None
 
 
 def test_is_matroid_polytope():

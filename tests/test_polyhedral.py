@@ -18,7 +18,6 @@ from ssvlib.polyhedral import (
     from_halfspaces,
     graded_lattice_points,
     hilbert_basis,
-    in_convex_hull,
     intersect_polytopes,
     is_saturated_monoid,
     monoid_membership,
@@ -276,23 +275,6 @@ def test_hilbert_basis_is_saturated():
             continue
         ok, _ = is_saturated_monoid(AffineMonoid(Lattice.standard(2), basis))
         assert ok
-
-
-def test_in_convex_hull_lp():
-    pts = [(0, 0), (4, 0), (0, 4)]
-    assert in_convex_hull((1, 1), pts)
-    assert in_convex_hull((0, 0), pts)
-    assert not in_convex_hull((3, 3), pts)
-    assert not in_convex_hull((-1, 0), pts)
-
-
-def test_lp_agrees_with_halfspace_membership():
-    rng = random.Random(31)
-    for _ in range(30):
-        pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(6)]
-        p = convex_hull(pts)
-        probe = tuple(rng.randint(-3, 3) for _ in range(3))
-        assert in_convex_hull(probe, pts) == p.contains_point(probe)
 
 
 def test_graded_points_monotone_under_dilation():

@@ -7,11 +7,14 @@ takes (the cells of the unscaled heights wrapped directly).  Orbit hulls
 are invariant under the Weyl group, so they have one translate; dominant
 hulls, shifted orbit hulls and simplices on fundamental weights have
 several, which runs the pairwise test, and the root-sign certificates in it
-up to rank 4.  Completed regular
-subdivisions, whole or with one cell or group broken, must get the oracle's
-validation report, witnesses included.
+up to rank 4.  The reflection walk that finds the translates must reach the
+distinct images under the oracle's matrices of the Weyl group, for every
+label up to rank 4.  Completed regular subdivisions, whole or with one cell
+or group broken, must get the oracle's validation report, witnesses
+included.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,7 @@ import report_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ssvlib import rootdata
 from ssvlib.complexes import Cell, SSVComplex, complete_faces, validate_complex
 from ssvlib.degeneration import (
     HeightFunction,
@@ -30,6 +34,7 @@ from ssvlib.degeneration import (
 )
 from ssvlib.errors import DomainError, NotReducedError
 from ssvlib.lattice import Lattice
+from ssvlib.linalg import clear_denominators, vec_dot
 from ssvlib.polyhedral import AffineMonoid, convex_hull, cone_over, hilbert_basis
 from ssvlib.rootdata import dominant_hull, is_w_admissible, root_datum, weyl_orbit
 
@@ -121,7 +126,7 @@ def _reaches_pairwise_test(datum, polytope):
     )
     if meet is None or not polytope.relint_contains(oracle.barycenter(meet)):
         return False
-    return any(polytope.transformed(m) != polytope for m in datum.weyl_matrices())
+    return any(oracle.transformed(polytope, m) != polytope for m in oracle.weyl_matrices(datum))
 
 
 def test_admissibility_of_moved_polytopes_matches_oracle():
@@ -205,6 +210,38 @@ def test_admissibility_of_moved_polytopes_up_to_rank_4_matches_oracle():
 
     check()
     assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def _labels_up_to_rank_4(prefix=(), rank=0):
+    """Every label of a simple type or a product of them, total rank at most 4."""
+    for kind, ranks in (("A", range(1, 5)), ("B", range(2, 5)), ("C", range(2, 5)), ("D", range(3, 5))):
+        for n in ranks:
+            if rank + n <= 4:
+                label = prefix + (f"{kind}{n}",)
+                yield "x".join(label)
+                yield from _labels_up_to_rank_4(label, rank + n)
+
+
+def test_reflection_walk_matches_the_group_matrices():
+    # the distinct sorted images of a vertex set under the oracle's |W|
+    # matrices are the translates the reflection walk reaches, for an orbit
+    # hull (one translate) and a simplex moved off the origin (several)
+    rng = random.Random(23)
+    labels = list(_labels_up_to_rank_4())
+    assert len(labels) == 47 and {"A4", "B4", "C4", "D4", "A1xA1xA1xA1", "B2xC2"} <= set(labels)
+    for label in labels:
+        datum = root_datum(label)
+        matrices = oracle.weyl_matrices(datum)
+        weight = tuple(Fraction(rng.randint(0, 4), 2) for _ in range(datum.rank))
+        offset = tuple(Fraction(rng.randint(-2, 2), 2) for _ in range(datum.rank))
+        scales = [rng.randint(0, 2) for _ in range(datum.rank)]
+        scales[rng.randrange(datum.rank)] = rng.randint(1, 2)
+        for polytope in (convex_hull(weyl_orbit(datum, weight)), _simplex(offset, _multiples(datum, scales))):
+            # on the integer vertices that is_w_admissible walks
+            flat = clear_denominators([x for v in polytope.vertices for x in v])
+            points = [flat[i:i + datum.rank] for i in range(0, len(flat), datum.rank)]
+            expected = {tuple(sorted(tuple(vec_dot(row, v) for row in m) for v in points)) for m in matrices}
+            assert rootdata._translates(datum, points) == expected, (label, polytope)
 
 
 # the lattice of (d, x, y) with x and y even holds no cell's Z^3 cap span(cone)

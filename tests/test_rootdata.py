@@ -3,10 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
+import report_oracle
 
+from ssvlib import rootdata
 from ssvlib.errors import NotDominantError, RankError
-from ssvlib.polyhedral import Polytope, convex_hull
+from ssvlib.polyhedral import convex_hull
 from ssvlib.rootdata import (
+    RootDatum,
     dominant_hull,
     is_w_admissible,
     root_datum,
@@ -212,10 +215,10 @@ def test_moved_b4_simplex_is_settled_by_root_signs(monkeypatch):
     datum = root_datum("B4")
     simplex = convex_hull([(1, 1, 1, 1)] + [tuple(1 + 2 * (j == i) for j in range(4)) for i in range(4)])
 
-    def hull_translate(polytope, matrix):
+    def hull_translate(points):
         raise AssertionError("a pair of translates was left to the double description")
 
-    monkeypatch.setattr(Polytope, "transformed", hull_translate)
+    monkeypatch.setattr(rootdata, "convex_hull", hull_translate)
     started = time.perf_counter()
     assert is_w_admissible(datum, simplex)
     elapsed = time.perf_counter() - started
@@ -232,10 +235,27 @@ def test_orbit_hull_always_admissible():
             assert is_w_admissible(datum, hull), (label, weight)
 
 
+def test_admissibility_uses_the_given_datum_not_its_label():
+    # the Weyl group is the one the Cartan matrix generates: an unparsable
+    # label, or the label of another group, changes nothing
+    a2 = root_datum("A2")
+    hulls = [convex_hull(weyl_orbit(a2, w)) for w in ((1, 2), (1, 0), (2, 1), (1, 1))]
+    for label in ("sl3", "B2"):
+        renamed = RootDatum(label, a2.cartan, a2.d)
+        assert weyl_orbit(renamed, (1, 0)) == weyl_orbit(a2, (1, 0))
+        assert all(is_w_admissible(renamed, hull) for hull in hulls)
+    # segments with several translates, on which A2 and B2 disagree
+    b2, renamed = root_datum("B2"), RootDatum("B2", a2.cartan, a2.d)
+    for ends, expected in ((((1, 0), (-1, 2)), False), (((-1, 2), (1, 1)), True)):
+        segment = convex_hull(ends)
+        assert is_w_admissible(b2, segment) != expected
+        assert is_w_admissible(a2, segment) == is_w_admissible(renamed, segment) == expected
+
+
 def test_orbit_size_divides_group_order():
     for label, order in (("A1", 2), ("A2", 6), ("A1xA1", 4), ("B2", 8)):
         datum = root_datum(label)
-        count = len(datum.weyl_matrices())
+        count = len(report_oracle.weyl_matrices(datum))
         assert count == order
         for weight in itertools.product(range(0, 3), repeat=datum.rank):
             orbit = weyl_orbit(datum, weight)

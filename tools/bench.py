@@ -27,9 +27,11 @@ table of these verdicts is printed last.  A metric within its bound reads
 and the change does not read better in every run.  The ``peak_rss_mib``
 verdict also carries the same ratio for ``attempted``, so that a rise in the
 peak can be read against the operations completed.  Each file also records
-``src_lines``, the line count of its checkout's ``src/ssvlib/*.py``, and the
-paired run prints both counts under the verdict table, so that a change that
-grows the library shows on every paired run.  After each run the set-up
+``src_lines``, the line count of its checkout's ``src/ssvlib/*.py``, and
+``tests_lines``, that of its ``tests/*.py``, and the paired run prints both
+checkouts' counts under the verdict table, so that a change that grows the
+library, or shrinks it only by moving code into the tests, shows on every
+paired run.  After each run the set-up
 probe (``perfbench/run.py --setup-probe``: import, inputs and warm-up in a
 fresh interpreter) is timed ``PROBES`` times directly, and the run keeps the
 median as ``probe_s``; perfbench's own ``setup_s`` waits on each probe with a
@@ -100,13 +102,22 @@ def _probe_median(runs):
     return statistics.median(probes) if probes else None
 
 
-def src_lines(root):
-    """Lines in the library modules, ``src/ssvlib/*.py``, of a checkout."""
+def _lines(pattern):
     total = 0
-    for path in glob.glob(os.path.join(root, "src", "ssvlib", "*.py")):
+    for path in glob.glob(pattern):
         with open(path) as handle:
             total += sum(1 for _ in handle)
     return total
+
+
+def src_lines(root):
+    """Lines in the library modules, ``src/ssvlib/*.py``, of a checkout."""
+    return _lines(os.path.join(root, "src", "ssvlib", "*.py"))
+
+
+def tests_lines(root):
+    """Lines in the test modules, ``tests/*.py``, of a checkout."""
+    return _lines(os.path.join(root, "tests", "*.py"))
 
 
 def _values(runs, name):
@@ -179,7 +190,7 @@ def verdicts(runs, parent_runs, end_to_end):
     return out
 
 
-def _print_verdicts(report, parent_src_lines):
+def _print_verdicts(report, parent):
     print(f"{'workload':<14}{'metric':<14}{'ratio':>8}{'bound':>8}  verdict")
     for workload, entry in report["workloads"].items():
         for name, v in entry["verdicts"].items():
@@ -196,9 +207,9 @@ def _print_verdicts(report, parent_src_lines):
             probe = entry["probe"]
             print(f"{workload:<14}probe_s: parent {probe['parent']:.4f} s, "
                   f"change {probe['change']:.4f} s, ratio {probe['ratio']:.3f}")
-    lines = report["src_lines"]
-    print(f"src/ssvlib/*.py lines: parent {parent_src_lines}, change {lines} "
-          f"({lines - parent_src_lines:+d})")
+    for key, files in (("src_lines", "src/ssvlib/*.py"), ("tests_lines", "tests/*.py")):
+        lines, before = report[key], parent[key]
+        print(f"{files} lines: parent {before}, change {lines} ({lines - before:+d})")
 
 
 def _report(label, sides, name, root):
@@ -208,6 +219,7 @@ def _report(label, sides, name, root):
         "nproc": len(os.sched_getaffinity(0)),
         "seeds": list(SEEDS),
         "src_lines": src_lines(root),
+        "tests_lines": tests_lines(root),
         "workloads": {
             workload: {
                 "attempted": statistics.median(run["attempted"] for run in runs[name]),
@@ -266,7 +278,7 @@ def main(argv=None):
         _write(parent)
     _write(report)
     if args.root:
-        _print_verdicts(report, parent["src_lines"])
+        _print_verdicts(report, parent)
     return 0 if all_ok else 1
 
 
