@@ -9,21 +9,20 @@ glued object and H^1 classifies twisted gluings.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
-from .errors import IncompatibleRestrictionError, MissingAutError
+from .errors import IncompatibleRestrictionError, MissingAutError, Record
 from .lattice import Lattice, cokernel_invariants, integer_kernel
+from .linalg import mat_identity
 
 
-@dataclass(frozen=True)
-class DiagGroup:
+class DiagGroup(Record):
     """A diagonalizable group, encoded by its character group.
 
     The character group is Z^rank modulo the row span of ``relations``.
     """
 
-    rank: int
-    relations: tuple = ()
+    __slots__ = ("rank", "relations")
+    _defaults = {"relations": tuple}
 
     def __post_init__(self):
         rels = tuple(tuple(r) for r in self.relations)
@@ -53,17 +52,14 @@ class DiagGroup:
         return " x ".join(parts)
 
 
-@dataclass(frozen=True)
-class DiagHom:
+class DiagHom(Record):
     """Morphism of diagonalizable groups as a character-group map.
 
     The matrix rows are the images in Z^{rank(source char group)} of the
     generators of the target's character group (the map is contravariant).
     """
 
-    source: DiagGroup
-    target: DiagGroup
-    matrix: tuple
+    __slots__ = ("source", "target", "matrix")
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
@@ -93,12 +89,11 @@ def _row_apply(vector, matrix_rows, width):
     return tuple(out)
 
 
-@dataclass
-class _Level:
-    keys: list = field(default_factory=list)
-    groups: list = field(default_factory=list)
-    offsets: list = field(default_factory=list)
-    total: int = 0
+class _Level(Record):
+    __slots__ = ("keys", "groups", "offsets", "total")
+    _defaults = {"keys": list, "groups": list, "offsets": list, "total": int}
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
     def add(self, key, group):
         self.keys.append(key)
@@ -107,20 +102,14 @@ class _Level:
         self.total += group.rank
 
 
-@dataclass(frozen=True)
-class GluingComplex:
+class GluingComplex(Record):
     """Three-term complex of diagonalizable groups on the maximal cells.
 
     ``d0_rows``/``d1_rows`` are the dual (character-level) differentials:
     rows are images of the level-1 resp. level-2 character generators.
     """
 
-    maximal_ids: tuple
-    level0: _Level
-    level1: _Level
-    level2: _Level
-    d0_rows: tuple
-    d1_rows: tuple
+    __slots__ = ("maximal_ids", "level0", "level1", "level2", "d0_rows", "d1_rows")
 
 
 def _toric_group(cell):
@@ -198,24 +187,17 @@ def build_gluing_complex(complex_, mode="toric"):
     for i, cell in enumerate(maximal):
         level0.add((i,), group_of(cell))
 
-    level1 = _Level()
-    pair_cells = {}
-    for i, j in itertools.combinations(range(n), 2):
-        cell = _intersection_cell(complex_, [maximal[i], maximal[j]])
-        pair_cells[(i, j)] = cell
-        level1.add((i, j), group_of(cell) if cell is not None else DiagGroup(0))
-
-    level2 = _Level()
-    triple_cells = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        cell = _intersection_cell(complex_, [maximal[i], maximal[j], maximal[k]])
-        triple_cells[(i, j, k)] = cell
-        level2.add((i, j, k), group_of(cell) if cell is not None else DiagGroup(0))
+    level1, level2 = _Level(), _Level()
+    meet_cells = {}  # pairs and triples of maximal cells -> their stored intersection
+    for level, size in ((level1, 2), (level2, 3)):
+        for key in itertools.combinations(range(n), size):
+            cell = meet_cells[key] = _intersection_cell(complex_, [maximal[i] for i in key])
+            level.add(key, group_of(cell) if cell is not None else DiagGroup(0))
 
     # d0 dual: X(Y_ij) -> X(Y_j) - X(Y_i), blockwise.
     d0_rows = []
     for idx, (i, j) in enumerate(level1.keys):
-        cell = pair_cells[(i, j)]
+        cell = meet_cells[(i, j)]
         group = level1.groups[idx]
         if cell is None or group.rank == 0:
             continue
@@ -233,19 +215,14 @@ def build_gluing_complex(complex_, mode="toric"):
     # d1 dual: X(Y_ijk) -> X(Y_jk) - X(Y_ik) + X(Y_ij).
     d1_rows = []
     for idx, (i, j, k) in enumerate(level2.keys):
-        cell = triple_cells[(i, j, k)]
+        cell = meet_cells[(i, j, k)]
         group = level2.groups[idx]
         if cell is None or group.rank == 0:
             continue
-        contributions = (
-            ((j, k), 1),
-            ((i, k), -1),
-            ((i, j), 1),
-        )
         maps = {}
-        for pair, sign in contributions:
-            pair_cell = pair_cells[pair]
-            maps[pair] = (restriction_of_pair(restriction_of, pair_cell, cell), sign)
+        for pair, sign in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
+            # a pair meets where its triple does, so its cell is stored
+            maps[pair] = (restriction_of(meet_cells[pair], cell), sign)
         for g in range(group.rank):
             row = [0] * level1.total
             for pair, (matrix, sign) in maps.items():
@@ -267,14 +244,6 @@ def build_gluing_complex(complex_, mode="toric"):
     return GluingComplex(
         tuple(c.id for c in maximal), level0, level1, level2, d0, d1
     )
-
-
-def restriction_of_pair(restriction_of, pair_cell, triple_cell):
-    if pair_cell is None:
-        raise IncompatibleRestrictionError(
-            "triple intersection without the corresponding pair cell"
-        )
-    return restriction_of(pair_cell, triple_cell)
 
 
 def _check_hom(source_group, target_group, matrix, source_id, target_id):
@@ -333,13 +302,7 @@ def diag_cohomology(gluing, degree):
             tuple(gluing.d0_rows[r][i] for r in range(d1_total))
             + tuple(-rel[i] for rel in rel0)
         )
-    if stacked:
-        basis = [k[:d1_total] for k in integer_kernel(stacked)]
-    else:
-        basis = [
-            tuple(1 if i == j else 0 for j in range(d1_total))
-            for i in range(d1_total)
-        ]
+    basis = [k[:d1_total] for k in integer_kernel(stacked)] if stacked else mat_identity(d1_total)
     kernel_lattice = Lattice(d1_total, basis)
     mod_rows = _relation_rows(gluing.level1) + [
         r for r in gluing.d1_rows if any(x != 0 for x in r)

@@ -4,19 +4,16 @@ The central data model: an ambient graded weight group inside Z^(1+r)
 together with a poset of cells, each carrying a moment polytope in R^r and
 a weight group whose rational span matches the cone over the polytope.
 Cells may also carry automorphism-group data consumed by the gluing
-cohomology module.
+cohomology module.  ``rootdata`` is imported inside its two users,
+``section_module`` and ``vq_module_data``, so toric gluing never loads it.
 """
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    ContainmentError,
-    OutsideSupportError,
-    ParamError,
-    ValidationError,
+    ContainmentError, Frozen, OutsideSupportError, ParamError, Record, ValidationError
 )
 from .lattice import Lattice, is_direct_summand
 from .linalg import clear_denominators, integer_rref, solve_rational, vec_dot
@@ -29,24 +26,19 @@ from .polyhedral import (
     graded_lattice_points,
     intersect_polytopes,
 )
-from .rootdata import weyl_dimension
 
 
-@dataclass(frozen=True)
-class AutRestriction:
+class AutRestriction(Record):
     """Character-group map to this cell from a smaller cell's automorphisms."""
 
-    to: str
-    matrix: tuple  # rows: images in Z^{rank(cell)} of the face's generators
+    __slots__ = ("to", "matrix")  # matrix rows: images in Z^{rank(cell)} of the face's generators
 
 
-@dataclass(frozen=True)
-class AutData:
+class AutData(Record):
     """Automorphism group of a cell: character group as a cokernel."""
 
-    rank: int
-    relations: tuple = ()
-    restrictions: tuple = ()
+    __slots__ = ("rank", "relations", "restrictions")
+    _defaults = {"relations": tuple, "restrictions": tuple}
 
     def restriction_to(self, face_id):
         for r in self.restrictions:
@@ -55,7 +47,7 @@ class AutData:
         return None
 
 
-class Cell:
+class Cell(Frozen):
     """One cell: moment polytope plus its graded weight group."""
 
     __slots__ = ("id", "polytope", "weight_group", "aut")
@@ -67,9 +59,6 @@ class Cell:
         object.__setattr__(self, "polytope", polytope)
         object.__setattr__(self, "weight_group", weight_group)
         object.__setattr__(self, "aut", aut)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cell is immutable")
 
     def __repr__(self):
         return f"Cell({self.id!r}, vertices={list(self.polytope.vertices)})"
@@ -87,18 +76,13 @@ class Cell:
         return all(solve_rational(basis_cols, r) is not None for r in rays)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "witness")
+    _defaults = {"witness": str}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-    moment_set_convex: bool
-    cohen_macaulay: bool
+class ValidationReport(Record):
+    __slots__ = ("checks", "moment_set_convex", "cohen_macaulay")
 
     @property
     def passed(self):
@@ -108,7 +92,7 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-class SSVComplex:
+class SSVComplex(Frozen):
     """A validated-on-demand complex of moment polytopes."""
 
     __slots__ = (
@@ -138,9 +122,6 @@ class SSVComplex:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_vertices", by_vertices)
         object.__setattr__(self, "_report", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SSVComplex is immutable")
 
     def cell(self, cell_id):
         return self._by_id[cell_id]
@@ -265,6 +246,34 @@ def _pair_vertices(p, q, p_key, q_key):
     return _intersection_vertices(p, q)
 
 
+def _meets(complex_, cells, keys):
+    """(i, j) -> sorted vertices of cells i and j's intersection, or None when
+    it is no common face; their common vertices under ``validate_complex``'s P."""
+    polys = [c.polytope for c in cells]
+
+    def meet(i, j):
+        p, q = polys[i], polys[j]
+        inter = _pair_vertices(p, q, keys[i], keys[j])
+        face = not inter or _is_face(inter, p, keys[i][0]) and _is_face(inter, q, keys[j][0])
+        return inter if face else None
+
+    def common(i, j):
+        both = masks[i] & masks[j]
+        return tuple(numbered[k] for k in range(both.bit_length()) if both >> k & 1)
+
+    if len(cells) < 2:
+        return meet  # no pair to meet
+    numbered = sorted({v for p in polys for v in p.vertices})
+    at = {v: k for k, v in enumerate(numbered)}
+    masks = [sum(1 << at[v] for v in p.vertices) for p in polys]
+    top = [k for k, c in enumerate(cells) if c.id in complex_.maximal_ids]
+    faces = all(meet(i, j) is not None for x, i in enumerate(top) for j in top[x + 1:]) and all(
+        any(not masks[k] & ~masks[i] and _is_face(p.vertices, polys[i], keys[i][0]) for i in top)
+        for k, p in enumerate(polys)
+    )
+    return common if faces else meet
+
+
 def validate_complex(complex_):
     """Structural validation; failures carry concrete witnesses.
 
@@ -272,9 +281,20 @@ def validate_complex(complex_):
     are common faces and stored cells; containment agrees with the face
     relation; weight groups are direct summands of the ambient group and
     restrict consistently to common faces.  The convexity flag decides the
-    Cohen-Macaulay flag.  Each intersection is a vertex set, never hulled,
-    and most are settled by a certificate before any double description
-    (``_pair_vertices``), on each cell's ``_vertex_key`` built once per call.
+    Cohen-Macaulay flag.  Each intersection is a vertex set, never hulled.
+
+    Pairs meet through ``_meets`` on a precondition P: each two maximal
+    cells meet in a common face (``_pair_vertices`` and ``_is_face``), and
+    each cell's vertex set is a face of a maximal cell.  Under P two cells
+    meet in their common vertices, read off bitmasks over the complex's
+    vertices, numbered once.  Why: let F, G be faces of maximal cells A, B
+    and C = A cap B a common face.  F cap C and G cap C are faces of A and B
+    inside C, so faces of C, and so is F cap G = (F cap C) cap (G cap C); it
+    lies in F cap C, a face of F, so it is a face of F, and of G likewise,
+    with vertices V_F cap V_G.  Under P the face tests thus cannot fail, and
+    the first failing pair is the first, in the same order, that shares a
+    polytope or meets in no stored cell.  Without P every pair is
+    intersected and face-tested.  ``SSVComplex`` forces one ambient rank.
 
     Two checks follow from earlier ones and search for a witness only when
     those fail.  If every pairwise intersection is a common face, a cell
@@ -293,20 +313,19 @@ def validate_complex(complex_):
 
     inter_witness = ""
     glued = []  # (id of the stored intersection, a, b)
-    keys = [_vertex_key(c.polytope) for c in cells]
+    meet = _meets(complex_, cells, [_vertex_key(c.polytope) for c in cells])
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             a, b = cells[i], cells[j]
             if a.polytope == b.polytope:
                 inter_witness = f"cells {a.id},{b.id} share a polytope"
                 break
-            inter = _pair_vertices(a.polytope, b.polytope, keys[i], keys[j])
-            if not inter:
-                continue
-            if not (_is_face(inter, a.polytope, keys[i][0])
-                    and _is_face(inter, b.polytope, keys[j][0])):
+            inter = meet(i, j)
+            if inter is None:
                 inter_witness = f"cells {a.id},{b.id} intersect but not in a common face"
                 break
+            if not inter:
+                continue
             stored = complex_.cell_with_vertices(inter)
             if stored is None:
                 inter_witness = f"intersection of {a.id},{b.id} is not a cell"
@@ -356,13 +375,10 @@ def validate_complex(complex_):
     return ValidationReport(tuple(checks), convex, convex)
 
 
-@dataclass(frozen=True)
-class SectionModuleSummary:
+class SectionModuleSummary(Record):
     """Multiplicity-free module of sections in one degree."""
 
-    degree: int
-    weights: tuple  # (weight, multiplicity=1, dimension)
-    total_dimension: int
+    __slots__ = ("degree", "weights", "total_dimension")  # weights: (weight, 1, dimension)
 
 
 def degree_slice(complex_, degree):
@@ -379,6 +395,8 @@ def section_module(complex_, degree, datum):
     """Weights and dimensions of the degree-n sections."""
     if degree < 0:
         raise ParamError("degree must be nonnegative")
+    from .rootdata import weyl_dimension
+
     complex_.ensure_valid()
     weights = []
     total = 0
@@ -418,12 +436,10 @@ def multiplication_behavior(complex_, lam, mu):
     return MultiplicationBehavior.ZERO
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
+class OrbitPoset(Record):
     """Cell ids ordered by the face relation of their polytopes."""
 
-    ids: tuple
-    relations: frozenset  # (lower, upper) strict pairs
+    __slots__ = ("ids", "relations")  # relations: strict (lower, upper) pairs
 
     def leq(self, a, b):
         return a == b or (a, b) in self.relations
@@ -459,6 +475,8 @@ def vq_module_data(complex_, datum):
 
     Returns (weights, dims, total) with total the sum of squared dimensions.
     """
+    from .rootdata import weyl_dimension
+
     complex_.ensure_valid()
     weights = [p[1:] for p in degree_slice(complex_, 1)]
     dims = [weyl_dimension(datum, w) for w in weights]

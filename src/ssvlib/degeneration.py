@@ -11,11 +11,10 @@ that builds a complex, so the matroid search, which needs regular
 subdivisions alone, never loads it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateLiftError, DomainError, NotReducedError
+from .errors import DegenerateLiftError, DomainError, Frozen, NotReducedError, Record
 from .linalg import clear_denominators, primitive, solve_rational, vec_dot
 from .polyhedral import (
     _closure,
@@ -30,16 +29,14 @@ from .polyhedral import (
 )
 
 
-@dataclass(frozen=True)
-class HeightPiece:
-    domain: Cone
-    functional: tuple  # rational coefficients; value is functional . x
+class HeightPiece(Record):
+    __slots__ = ("domain", "functional")  # rational functional; value(x) = functional . x
 
     def value(self, point):
         return vec_dot(self.functional, point)
 
 
-class HeightFunction:
+class HeightFunction(Frozen):
     """Lower-convex piecewise-linear function on a union of cones."""
 
     __slots__ = ("ambient_rank", "pieces")
@@ -55,9 +52,6 @@ class HeightFunction:
         object.__setattr__(self, "ambient_rank", rank)
         object.__setattr__(self, "pieces", pieces)
         self._check_consistency()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeightFunction is immutable")
 
     def _check_consistency(self):
         """Pieces agree on overlaps and dominate each other on own domains."""

@@ -1,4 +1,59 @@
-"""Exception types shared across the library."""
+"""Exception types, and the record base class, shared across the library."""
+
+
+class Frozen:
+    """Slotted instances whose attributes cannot be set or deleted after ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
+    """A frozen record whose fields are its ``__slots__``, in order.
+
+    Fields are given by position or keyword, ``_defaults`` maps a field to
+    the factory of its default, and ``__post_init__`` runs last.  Records of
+    one class compare, hash and print by their field values, as frozen
+    dataclasses do.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            values = {field: make() for field, make in self._defaults.items()}
+            values.update(zip(fields, args), **kwargs)
+            extra = len(args) > len(fields) or set(kwargs) - set(fields[len(args):])
+            if extra or len(values) < len(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+            args = [values[field] for field in fields]
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class SSVError(Exception):

@@ -6,20 +6,16 @@ representations; kernels, intersections and saturations are read off Hermite
 bases.  The Smith normal form is kept for invariant factors.
 """
 
-from dataclasses import dataclass
 from math import prod
 
-from .errors import ContainmentError
+from .errors import ContainmentError, Frozen, Record
 from .linalg import canonical_direction, mat_identity, rational_nullspace
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """left * matrix * right is diagonal; left and right are unimodular."""
 
-    left: tuple
-    diag: tuple
-    right: tuple
+    __slots__ = ("left", "diag", "right")
 
 
 def smith_normal_form(matrix):
@@ -173,12 +169,10 @@ def integer_kernel(matrix):
     return tuple(b[m:] for b in hermite_basis(rows, m + n) if not any(b[:m]))
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """Finitely generated abelian group: Z^free_rank + sum Z/t, t | next."""
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ("free_rank", "torsion")
 
     @property
     def is_trivial(self):
@@ -205,7 +199,7 @@ def cokernel_invariants(relation_rows, ambient_rank):
     return AbelianInvariants(ambient_rank - len(factors), torsion)
 
 
-class Lattice:
+class Lattice(Frozen):
     """A finitely generated subgroup of Z^d in canonical Hermite form."""
 
     __slots__ = ("ambient_rank", "basis")
@@ -218,9 +212,6 @@ class Lattice:
                 raise ValueError("lattice generators must be integers")
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis", hermite_basis(generators, ambient_rank))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
 
     @classmethod
     def standard(cls, d):

@@ -1,10 +1,11 @@
 """Weight sets of graded modules and matroid-polytope subdivisions."""
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidRankDataError, NonLatticeError, ParamError, SearchBudgetError
+from .errors import (
+    Frozen, InvalidRankDataError, NonLatticeError, ParamError, Record, SearchBudgetError
+)
 from .linalg import primitive, vec_sub
 from .polyhedral import Cone, convex_hull
 from .degeneration import regular_subdivision, subdivision_cell
@@ -13,12 +14,10 @@ SEARCH_BUDGET = 200_000
 SYMMETRY_GROUP_CAP = 5_000
 
 
-@dataclass(frozen=True)
-class GradedShape:
+class GradedShape(Record):
     """Corank and the ranks of the graded parts."""
 
-    r: int
-    ranks: tuple
+    __slots__ = ("r", "ranks")
 
     def __post_init__(self):
         ranks = tuple(int(x) for x in self.ranks)
@@ -51,7 +50,7 @@ def _weight_tuples(ranks, room, prefix, rest):
         yield from _weight_tuples(ranks, room, prefix + (x,), rest - x)
 
 
-class RankFunctionData:
+class RankFunctionData(Frozen):
     """Lower bounds d_I on coordinate sums over subsets of positions.
 
     Unspecified subsets default to the trivial bounds implied by the box;
@@ -63,12 +62,7 @@ class RankFunctionData:
     def __init__(self, shape, entries=None):
         object.__setattr__(self, "shape", shape)
         n = shape.positions
-        table = {}
-        for subset in _all_subsets(n):
-            complement_rank = sum(
-                shape.ranks[i] for i in range(n) if i not in subset
-            )
-            table[subset] = max(0, shape.r - complement_rank)
+        table = {subset: _box_bound(shape, subset) for subset in _all_subsets(n)}
         for key, value in (entries or {}).items():
             subset = frozenset(key)
             if not subset <= set(range(n)):
@@ -76,9 +70,6 @@ class RankFunctionData:
             table[subset] = int(value)
         object.__setattr__(self, "table", table)
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RankFunctionData is immutable")
 
     def _validate(self):
         n = self.shape.positions
@@ -103,6 +94,11 @@ class RankFunctionData:
         return self.table[frozenset(subset)]
 
 
+def _box_bound(shape, subset):
+    """max(0, r - the ranks outside I): every weight of the box meets it on I."""
+    return max(0, shape.r - sum(x for i, x in enumerate(shape.ranks) if i not in subset))
+
+
 def _all_subsets(n):
     out = []
     for size in range(n + 1):
@@ -119,15 +115,9 @@ def thin_cell_weight_set(shape, rank_data):
     from the subset.
     """
     points = weight_set(shape)
-    kept = []
-    for p in points:
-        ok = True
-        for subset, bound in rank_data.table.items():
-            if sum(p[i] for i in subset) < bound:
-                ok = False
-                break
-        if ok:
-            kept.append(p)
+    # only the entries above the box's own bound can drop a point
+    binding = [(s, b) for s, b in rank_data.table.items() if b > _box_bound(shape, s)]
+    kept = [p for p in points if all(sum(p[i] for i in s) >= b for s, b in binding)]
     if kept:
         # p lies in the hull of the kept points iff (1, p) lies in the cone over them
         cone = Cone.from_rays(shape.positions + 1, [(1,) + q for q in kept])

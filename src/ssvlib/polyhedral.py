@@ -33,10 +33,9 @@ the cone over the lifted points (1, p, h).
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError, NotPointedError
+from .errors import DimensionError, Frozen, NotPointedError, Record
 from .lattice import Lattice, hermite_basis
 from .linalg import (
     canonical_direction,
@@ -179,7 +178,7 @@ def _generators(ambient, ineqs, eqs):
         eqs.append(v)
 
 
-class Polytope:
+class Polytope(Frozen):
     """A nonempty rational convex polytope with exact dual descriptions.
 
     ``inequalities`` are the facet-defining halfspaces (normal . x >= offset)
@@ -206,9 +205,6 @@ class Polytope:
         object.__setattr__(self, "_facet_masks", facet_masks)
         object.__setattr__(self, "_shared", None)
         object.__setattr__(self, "_cone", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polytope is immutable")
 
     @property
     def dim(self):
@@ -273,15 +269,14 @@ class Polytope:
         return _is_face(self.vertices, other)
 
 
-@dataclass(frozen=True)
-class FacePoset:
+class FacePoset(Record):
     """Faces of a polytope as (dimension, vertex-index frozenset) pairs.
 
     Ordered by containment of vertex sets; the full polytope is the unique
     maximal element and the empty face is omitted by convention.
     """
 
-    faces: tuple
+    __slots__ = ("faces",)
 
     def __len__(self):
         return len(self.faces)
@@ -424,7 +419,7 @@ def enumerate_faces(polytope):
     return FacePoset(tuple(faces))
 
 
-class Cone:
+class Cone(Frozen):
     """A rational polyhedral cone with exact dual descriptions."""
 
     __slots__ = ("ambient_rank", "rays", "inequalities", "equations")
@@ -434,9 +429,6 @@ class Cone:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "inequalities", inequalities)
         object.__setattr__(self, "equations", equations)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cone is immutable")
 
     def __eq__(self, other):
         return (
@@ -574,12 +566,10 @@ def _hermite_box_points(basis, i, point, lo, hi):
         yield from _hermite_box_points(basis, i + 1, moved, lo, hi)
 
 
-@dataclass(frozen=True)
-class AffineMonoid:
+class AffineMonoid(Record):
     """A finitely generated submonoid of a lattice, given by generators."""
 
-    ambient: Lattice
-    generators: tuple
+    __slots__ = ("ambient", "generators")
 
     def __post_init__(self):
         gens = tuple(tuple(g) for g in self.generators)

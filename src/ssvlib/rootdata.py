@@ -11,7 +11,7 @@ matrix of the datum it is given, whatever its label.
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotDominantError, RankError
+from .errors import Frozen, NotDominantError, RankError
 from .linalg import clear_denominators, solve_rational, vec_dot
 from .polyhedral import _barycenter, _halfspace_vertices, convex_hull, from_halfspaces
 from .polyhedral import relative_interiors_meet
@@ -53,7 +53,7 @@ def _simple_factor(kind, n):
     return [tuple(r) for r in cartan], d
 
 
-class RootDatum:
+class RootDatum(Frozen):
     """Immutable root datum with Cartan matrix and exact invariant form."""
 
     __slots__ = ("label", "rank", "cartan", "d", "gram")
@@ -70,9 +70,6 @@ class RootDatum:
             rhs = tuple(d[j] if i == j else Fraction(0) for i in range(n))
             cols.append(solve_rational([tuple(row) for row in zip(*cartan)], rhs))
         object.__setattr__(self, "gram", tuple(zip(*cols)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootDatum is immutable")
 
     def __repr__(self):
         return f"RootDatum({self.label!r})"

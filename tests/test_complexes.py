@@ -102,6 +102,38 @@ def test_frame_validation_settles_most_pairs_by_certificate(monkeypatch):
     assert len(intersected) <= 29
 
 
+def test_frame_validation_intersects_maximal_pairs_only(monkeypatch):
+    # the four maximal cells of the frame meet in common faces, settled by
+    # certificates, and every face cell is a face of one of them; each other
+    # pair then meets in its common vertices, with no intersection computed
+    points = [(x, y) for x in range(5) for y in range(5 - x)]
+    heights = [0 if (x > 0 and y > 0 and x + y < 4) else 2 for (x, y) in points]
+    gamma = Lattice.standard(3)
+    cells = regular_subdivision(convex_hull([(0, 0), (4, 0), (0, 4)]), points, heights)
+    wrapped = [
+        Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays)) for i, p in enumerate(cells)
+    ]
+    full = complete_faces(SSVComplex(2, gamma, wrapped, [c.id for c in wrapped]))
+    ids = {c.polytope: c.id for c in full.maximal_cells()}
+    calls = {"_pair_vertices": [], "_intersection_vertices": []}
+
+    def counting(name):
+        function = getattr(complexes, name)
+
+        def counted(p, q, *keys):
+            calls[name].append((ids.get(p), ids.get(q)))
+            return function(p, q, *keys)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(complexes, name, counting(name))
+    assert len(full.cells) == 19 and len(full.maximal_ids) == 4
+    assert validate_complex(full).passed
+    assert calls["_pair_vertices"] == [(f"c{i}", f"c{j}") for i in range(4) for j in range(i + 1, 4)]
+    assert calls["_intersection_vertices"] == []
+
+
 def test_missing_face_cell_fails():
     gamma = Lattice(2, [(1, 0), (0, 2)])
     cells = (

@@ -2,7 +2,8 @@
 
 A fresh interpreter pins which library modules an import loads: the matroid
 search stands on the polyhedral layer alone, without complexes, cohomology or
-root data.
+root data, and complexes load no root data.  The command-line tool loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
 import importlib
@@ -39,6 +40,17 @@ def test_the_matroid_search_loads_the_polyhedral_layer_only():
     loaded = _fresh(f"import ssvlib.matroid; {LOADED}")
     layers = ("errors", "linalg", "lattice", "polyhedral", "degeneration", "matroid")
     assert loaded == sorted(f"ssvlib.{m}" for m in layers)
+
+
+def test_complexes_load_no_root_data():
+    # weyl_dimension is imported inside the two functions that use it
+    assert "ssvlib.rootdata" not in _fresh(f"import ssvlib.complexes; {LOADED}")
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # records are slotted classes on errors.Record; dataclasses imports inspect
+    code = "import ssvlib.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh(code) == []
 
 
 def test_submodules_resolve_after_a_plain_import():

@@ -11,9 +11,11 @@ up to rank 4.  The reflection walk that finds the translates must reach the
 distinct images under the oracle's matrices of the Weyl group, for every
 label up to rank 4.  Completed regular subdivisions, whole or with one cell
 or group broken, must get the oracle's validation report, witnesses
-included.
+included; so must those that validation settles by common vertices, whole
+or broken where its precondition must notice or stay exact.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ import report_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ssvlib import rootdata
+from ssvlib import complexes, rootdata
 from ssvlib.complexes import Cell, SSVComplex, complete_faces, validate_complex
 from ssvlib.degeneration import (
     HeightFunction,
@@ -331,4 +333,113 @@ def test_validation_matches_oracle():
         "containment-is-face",
         "weight-groups-direct-summands",
         "face-restrictions-agree",
+    }
+
+
+SHORTCUT_CASES = (
+    "none",
+    "drop-face",
+    "not-maximal",
+    "second-cell",
+    "non-face-maximal",
+    "overlapping-maximal",
+    "vertex-only",
+    "lower-dimensional",
+)
+
+
+def _completed(gamma, rank, polytopes, extra=()):
+    """Cells c0, c1, ... on the polytopes, all maximal, with their faces added."""
+    wrapped = [
+        Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays))
+        for i, p in enumerate(list(polytopes) + list(extra))
+    ]
+    base = SSVComplex(rank, gamma, wrapped, [c.id for c in wrapped])
+    return list(complete_faces(base).sorted_cells()), list(base.maximal_ids)
+
+
+@st.composite
+def shortcut_cases(draw):
+    """(case, complex): completed regular subdivisions, whole or broken once.
+
+    The breaks are the ones the shortcut's precondition must catch or keep
+    exact under: a missing face, a maximal cell left out of the list, a
+    second cell on a face's polytope, a non-face cell listed as maximal and
+    a maximal cell overlapping the others.  Whole cases include maximal
+    cells meeting only at a vertex and a support of lower dimension.
+    """
+    case = draw(st.sampled_from(SHORTCUT_CASES))
+
+    def heights(n):
+        return draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+    if case == "lower-dimensional":
+        rank, (dx, dy) = 2, draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2), (2, -1)]))
+        points = [(x * dx, x * dy + 1) for x in range(draw(st.integers(2, 5)))]
+        polytope = convex_hull(points)
+    else:
+        points, polytope = draw(lattice_supports())
+        rank = polytope.ambient_rank
+    gamma = GAMMAS[rank][draw(st.integers(0, 1))]
+    polytopes = regular_subdivision(polytope, points, heights(len(points)))
+    if case == "vertex-only":
+        # the support and its mirror image through one of its vertices meet there only
+        v = draw(st.sampled_from(polytope.vertices))
+        mirror = [tuple(2 * a - b for a, b in zip(v, p)) for p in points]
+        polytopes += regular_subdivision(convex_hull(mirror), mirror, heights(len(mirror)))
+    extra = ()
+    if case == "overlapping-maximal":
+        shift = draw(st.sampled_from([(1,) * rank, (1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (1,)]))
+        moved = draw(st.sampled_from(polytopes))
+        extra = (convex_hull([tuple(a + b for a, b in zip(v, shift)) for v in moved.vertices]),)
+    cells, maximal = _completed(gamma, rank, polytopes, extra)
+    faces = [c for c in cells if c.id not in maximal]
+    if case == "drop-face" and faces:
+        cells.remove(draw(st.sampled_from(faces)))
+    elif case == "not-maximal":
+        maximal.remove(draw(st.sampled_from(maximal)))
+    elif case == "second-cell" and faces:
+        face = draw(st.sampled_from(faces))
+        cells.append(Cell("copy", face.polytope, face.weight_group))
+    elif case == "non-face-maximal":
+        # a segment between two of the points that is no cell, often across cells
+        stored = {c.polytope for c in cells}
+        segments = [convex_hull(pair) for pair in itertools.combinations(points, 2)]
+        segments = [q for q in segments if q not in stored]
+        if segments:
+            extra = draw(st.sampled_from(segments))
+            cells.append(Cell("extra", extra, gamma.intersect_subspace(cone_over(extra).rays)))
+            maximal.append("extra")
+    return case, SSVComplex(rank, gamma, cells, maximal)
+
+
+def test_validation_shortcut_matches_oracle(monkeypatch):
+    # the common-vertex shortcut and the pairwise fallback both run, on
+    # whole and broken complexes, and both give the oracle's report
+    meets = complexes._meets
+    paths = []
+
+    def recording(*args):
+        meet = meets(*args)
+        paths.append(meet.__name__)
+        return meet
+
+    monkeypatch.setattr(complexes, "_meets", recording)
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shortcut_cases())
+    def check(case):
+        _, complex_ = case
+        report = _report(validate_complex(complex_))
+        assert report == _report(oracle.validate_complex(complex_))
+        name, _, witness = report[0][1]
+        assert name == "pairwise-intersections"
+        seen.add((paths[-1], witness.split(" ")[-1]))
+
+    check()
+    # last words of the witnesses: "... share a polytope", "... is not a cell"
+    # and "... not in a common face"
+    assert seen >= {
+        ("common", ""), ("common", "polytope"), ("common", "cell"), ("meet", ""), ("meet", "face")
     }
