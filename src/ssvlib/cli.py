@@ -6,10 +6,17 @@ Exit codes: 0 success, 1 domain failure (with the witness in the report),
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from fractions import Fraction
+
+try:  # CPython's own SHA-256 (_sha2 from 3.12); hashlib would load OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .cohomology import build_gluing_complex, diag_cohomology
@@ -45,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest(path):
-    sha = hashlib.sha256()
+    sha = sha256()
     with open(path, "rb") as handle:
         sha.update(handle.read())
     return sha.hexdigest()

@@ -183,7 +183,28 @@ def _volume_of_points(points):
 
 def moment_set_is_convex(complex_):
     """True iff the union of the maximal cell polytopes is convex."""
-    maximal = complex_.maximal_cells()
+    return _union_is_convex(complex_.maximal_cells(), face_to_face=False)
+
+
+def _union_is_convex(maximal, face_to_face):
+    """True iff the union U of the maximal cells' polytopes is convex.
+
+    One cell is convex, cells of different dimensions are not, and neither
+    is a union whose hull H has another dimension d than the cells.  Else,
+    when the cells meet face to face (``validate_complex``'s
+    pairwise-intersections check passed), U is convex iff every facet that
+    exactly one cell carries lies on a facet hyperplane of H, n . v == c on
+    all its vertices.  Why: a facet of one cell inside another cell is their
+    intersection, a face of both, hence a facet of both.  A point of the
+    relative boundary of U lies in such a facet: a segment from a generic
+    point of a cell to a nearby point outside U leaves U through the
+    relative interior of a facet no second cell carries.  So the boundary of
+    U lies in that of conv U, and U cap int conv U is open and closed in the
+    connected int conv U, and non-empty, as it holds the interior of every
+    cell; it is all of int conv U, and U, closed, is conv U.  Conversely a
+    facet in the boundary of H = U lies in one facet of H.  Otherwise the
+    cells' volumes are compared with H's.
+    """
     if len(maximal) == 1:
         return True
     dims = {c.polytope.dim for c in maximal}
@@ -194,6 +215,16 @@ def moment_set_is_convex(complex_):
     hull = convex_hull(all_vertices)
     if hull.dim != d:
         return False
+    if face_to_face:
+        at, carried = {}, {}  # vertex -> number; facet mask over the numbers -> carried once
+        for cell in maximal:
+            number = [at.setdefault(v, len(at)) for v in cell.polytope.vertices]
+            for mask in cell.polytope._facet_masks:
+                facet = sum(1 << k for i, k in enumerate(number) if mask >> i & 1)
+                carried[facet] = facet not in carried
+        on_hull = [sum(1 << k for v, k in at.items() if vec_dot(n, v) == c)
+                   for n, c in hull.inequalities]
+        return all(any(not f & ~h for h in on_hull) for f, once in carried.items() if once)
     # the pivot coordinates of the homogenized hull vertices are one affine
     # bijection of the hull's span onto Q^d, for every cell alike
     _, pivots = integer_rref([clear_denominators((1,) + v) for v in hull.vertices])
@@ -281,7 +312,9 @@ def validate_complex(complex_):
     are common faces and stored cells; containment agrees with the face
     relation; weight groups are direct summands of the ambient group and
     restrict consistently to common faces.  The convexity flag decides the
-    Cohen-Macaulay flag.  Each intersection is a vertex set, never hulled.
+    Cohen-Macaulay flag; once pairwise intersections pass it is read off the
+    facets that one maximal cell carries (``_union_is_convex``), with no
+    volume.  Each intersection is a vertex set, never hulled.
 
     Pairs meet through ``_meets`` on a precondition P: each two maximal
     cells meet in a common face (``_pair_vertices`` and ``_is_face``), and
@@ -371,7 +404,7 @@ def validate_complex(complex_):
         CheckResult("face-restrictions-agree", restrict_witness == "", restrict_witness)
     )
 
-    convex = moment_set_is_convex(complex_)
+    convex = _union_is_convex(complex_.maximal_cells(), face_to_face=not inter_witness)
     return ValidationReport(tuple(checks), convex, convex)
 
 

@@ -153,22 +153,60 @@ def test_a_paired_run_records_and_prints_library_and_test_lines(tmp_path, monkey
         (root / "tests" / "test_a.py").write_text("y = 2\n" * tests)
         (root / "tests" / "data.json").write_text("not\ncounted\n")
         roots[name] = root
-    (roots["change"] / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+    ]}))
 
     def run_once(root, workload, seed):
         wall = 1.0 if root == str(roots["change"]) else 1.1
-        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": 0.165, "unit": "s"}}}
 
     monkeypatch.setattr(bench, "ROOT", str(roots["change"]))
     monkeypatch.setattr(bench, "WORKLOADS", ["w"])
     monkeypatch.setattr(bench, "SEEDS", (301, 302))
     monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.setattr(bench, "probe_s", lambda root, workload, seed: 0.1)
+    # probes of 0.111 and 0.115 s on both sides straddle the poll at 0.113 s
+    monkeypatch.setattr(bench, "probe_s", lambda root, workload, seed: 0.111 if seed == 301 else 0.115)
     assert bench.main(["--label", "x", "--root", str(roots["parent"])]) == 0
     printed = capsys.readouterr().out.splitlines()
+    assert next(line for line in printed if "setup_s" in line).endswith("at a poll step (0.113 s)")
+    assert "poll step" not in next(line for line in printed if "wall_s " in line)
     assert printed[-2:] == ["src/ssvlib/*.py lines: parent 4, change 3 (-1)",
                             "tests/*.py lines: parent 2, change 5 (+3)"]
     for label, lines in (("x", (3, 5)), ("parent", (4, 2))):
         report = json.loads((roots["change"] / f"BENCH_{label}.json").read_text())
         assert (report["src_lines"], report["tests_lines"]) == lines
+    verdict = json.loads((roots["change"] / "BENCH_x.json").read_text())["workloads"]["w"]["verdicts"]["setup_s"]
+    assert abs(verdict["poll_step"] - 0.113) < 1e-12
+
+
+def test_a_set_up_reading_whose_probes_straddle_a_poll_instant_is_flagged(capsys):
+    bench = _bench()
+    assert bench.POLL_INSTANTS[:8] == (0.001, 0.003, 0.007, 0.015, 0.031, 0.063, 0.113, 0.163)
+
+    def probes(*values):
+        return [{"probe_s": p} for p in values] + [{"probe_s": None}]
+
+    # probes of 111-115 ms: the quartiles straddle the poll at 113 ms, so
+    # setup_s reads 0.114 or 0.165 s from run to run
+    straddling = probes(0.111, 0.112, 0.112, 0.114, 0.115, 0.115)
+    tight = probes(0.120, 0.121, 0.122, 0.121)
+    assert abs(bench.poll_step(straddling) - 0.113) < 1e-12
+    assert bench.poll_step(tight) is None
+    # either side straddling flags the workload
+    assert abs(bench.poll_step(tight, straddling) - 0.113) < 1e-12
+    assert bench.poll_step(tight, probes(0.150, 0.160, 0.155)) is None
+    # fewer than two probes have no quartiles
+    assert bench.poll_step(probes(0.113)) is None
+
+    verdict = {"ratio": 1.3, "bound": 0.25, "better": "lower", "within_bound": False,
+               "resolved": False, "poll_step": 0.113}
+    report = {"workloads": {"w": {"verdicts": {"setup_s": verdict,
+                                               "wall_s": dict(verdict, poll_step=None)}}},
+              "src_lines": 1, "tests_lines": 1}
+    bench._print_verdicts(report, report)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].endswith("OUT OF BOUND  at a poll step (0.113 s)")
+    assert printed[2].endswith("OUT OF BOUND")

@@ -77,6 +77,29 @@ def test_overlapping_squares_fail():
             x.ensure_valid()
 
 
+def test_convexity_takes_no_volume_once_pairwise_intersections_pass(monkeypatch):
+    calls = []
+    volume = complexes._volume_of_points
+    monkeypatch.setattr(complexes, "_volume_of_points", lambda points: calls.append(points) or volume(points))
+    gamma = Lattice.standard(3)
+    unit = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    squares = [
+        Cell(f"s{k}", convex_hull([(x + a, y + b) for x, y in unit]), gamma)
+        for k, (a, b) in enumerate([(0, 0), (1, 0), (0, 1)])
+    ]
+    l_shape = complete_faces(SSVComplex(2, gamma, squares, ("s0", "s1", "s2")))
+    for x, convex in ((triangle_pair_complex(), True), (l_shape, False)):
+        report = x.validate()
+        assert report.passed and report.moment_set_convex is convex
+    assert calls == []
+    # two squares overlapping in a rectangle: the boundary argument does not
+    # hold, so the volumes decide (2 against a hull of 3/2)
+    report = overlapping_squares_complex().validate()
+    assert "pairwise-intersections" in [c.name for c in report.failures()]
+    assert report.moment_set_convex is False
+    assert calls
+
+
 def test_frame_validation_settles_most_pairs_by_certificate(monkeypatch):
     # the size-4 triangle, heights 0 inside and 2 on the boundary: 4 cells and
     # 15 faces, 171 pairs, of which the boxes, nested vertex sets and facets

@@ -3,7 +3,8 @@
 A fresh interpreter pins which library modules an import loads: the matroid
 search stands on the polyhedral layer alone, without complexes, cohomology or
 root data, and complexes load no root data.  The command-line tool loads
-neither ``dataclasses`` nor ``inspect``.
+neither ``dataclasses`` nor ``inspect``, and digests its inputs without
+``hashlib``, which loads OpenSSL.
 """
 
 import importlib
@@ -51,6 +52,25 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
     # records are slotted classes on errors.Record; dataclasses imports inspect
     code = "import ssvlib.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     assert _fresh(code) == []
+
+
+def test_the_cli_loads_no_openssl_hashes():
+    code = "import ssvlib.cli; print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    assert _fresh(code) == []
+
+
+def test_input_digests_are_sha256_of_the_file_bytes():
+    import hashlib
+
+    from ssvlib.cli import _digest
+
+    paths = sorted((SRC.parent / "fixtures").iterdir())
+    assert paths
+    for path in paths:
+        assert _digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    # without CPython's own modules the digest falls back to hashlib's
+    blocked = "sys.modules.update(_sha256=None, _sha2=None); from ssvlib.cli import _digest"
+    assert _fresh(f"{blocked}; print(_digest({str(paths[0])!r}))") == [_digest(paths[0])]
 
 
 def test_submodules_resolve_after_a_plain_import():

@@ -17,6 +17,8 @@ intersection and face tests of the double-description path it replaced, on
 pairs that share faces, touch at a vertex, nest or are lower-dimensional.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,8 +30,10 @@ from ssvlib.complexes import (
     Cell,
     SSVComplex,
     _pair_vertices,
+    _union_is_convex,
     _vertex_key,
     _volume_of_points,
+    complete_faces,
     moment_set_is_convex,
 )
 from ssvlib.degeneration import regular_subdivision
@@ -405,6 +409,53 @@ def test_convexity_flag_matches_oracle(case, data):
     for polytopes in (cells, [cells[i] for i in sorted(chosen)]):
         complex_ = _complex(polytopes)
         assert moment_set_is_convex(complex_) == oracle.moment_set_is_convex(complex_)
+
+
+@st.composite
+def face_to_face_unions(draw):
+    """Cells that meet face to face, taken from one regular subdivision.
+
+    A subdivision of three or more cells gives a proper set of two or more
+    of them, a smaller one all its cells.  Two in three subdivisions are the
+    unit cells of a lattice grid in dims 1-3 (heights p . p), whose sets
+    give L-shapes, cells meeting only at a vertex and disjoint cells; some
+    of these grids are mapped affinely into Q^3, so that their cells span a
+    lower-dimensional space.  The rest come from ``lifted_points``.  One in
+    four draws takes the facets of the cells in their place, which meet
+    face to face too but may span more than their own dimension, as two
+    edges of a triangle do.
+    """
+    if draw(st.integers(0, 2)) == 0:
+        points, heights = draw(lifted_points())
+    else:
+        d = draw(st.integers(1, 3))
+        sides = draw(st.tuples(*[st.integers(1, 4)] * d).filter(lambda s: 3 <= math.prod(s) <= 8))
+        points = list(itertools.product(*(range(side + 1) for side in sides)))
+        heights = [vec_dot(p, p) for p in points]
+        if d < 3 and draw(st.booleans()):
+            rows = draw(st.lists(st.tuples(*[integer] * d), min_size=3 - d, max_size=3 - d))
+            points = [p + tuple(vec_dot(r, p) + 1 for r in rows) for p in points]
+    cells = regular_subdivision(convex_hull(points), points, heights)
+    if draw(st.integers(0, 3)) == 0:
+        facets = {c.face_polytope(f) for c in cells for f in c.facet_vertex_sets()}
+        cells = sorted(facets, key=lambda f: f.vertices)
+    n = len(cells)
+    size = draw(st.integers(2, n - 1)) if n > 2 else n
+    chosen = draw(st.sets(st.sampled_from(range(n)), min_size=size, max_size=size))
+    return [cells[i] for i in sorted(chosen)]
+
+
+@EXAMPLES
+@given(face_to_face_unions())
+def test_boundary_facet_flag_matches_oracle(cells):
+    # the cells meet face to face, so the flag read off boundary facets
+    # must equal the volume test of the oracle; validation reads that flag
+    complex_ = _complex(cells)
+    flag = _union_is_convex(complex_.maximal_cells(), face_to_face=True)
+    assert flag == oracle.moment_set_is_convex(complex_)
+    report = complete_faces(complex_).validate()
+    assert next(c for c in report.checks if c.name == "pairwise-intersections").passed
+    assert report.moment_set_convex == flag
 
 
 @st.composite

@@ -38,7 +38,11 @@ median as ``probe_s``; perfbench's own ``setup_s`` waits on each probe with a
 timeout, and that wait polls in steps of up to 50 ms, which hide a
 difference of a few tens of milliseconds.  The paired run prints, under the
 verdict table, each workload's median ``probe_s`` of both checkouts and
-their ratio.  perfbench itself is only invoked, never changed.
+their ratio.  That wait polls at 1, 3, 7, 15, 31 and 63 ms and every 50 ms
+after; when the quartiles of either checkout's ``probe_s`` straddle one of
+those instants, the same code reads ``setup_s`` one step apart from run to
+run, and the workload's ``setup_s`` verdict is printed with ``at a poll
+step``.  perfbench itself is only invoked, never changed.
 """
 
 import argparse
@@ -55,6 +59,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ten pairs: a claimed gain must hold in at least nine of them
 SEEDS = tuple(range(301, 311))
 PROBES = 5
+# perfbench's set-up wait, subprocess.run with a timeout, polls after sleeps
+# of 1, 2, 4, ... ms capped at 50 ms
+POLL_INSTANTS = tuple((2 ** k - 1) / 1000 for k in range(1, 7)) + tuple(
+    0.063 + 0.05 * j for j in range(1, 60)
+)
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import WORKLOADS  # noqa: E402
@@ -97,9 +106,25 @@ def probe_s(root, workload, seed, run=subprocess.run, clock=time.perf_counter):
     return statistics.median(times)
 
 
+def _probes(runs):
+    return [run["probe_s"] for run in runs if run.get("probe_s") is not None]
+
+
 def _probe_median(runs):
-    probes = [run["probe_s"] for run in runs if run.get("probe_s") is not None]
+    probes = _probes(runs)
     return statistics.median(probes) if probes else None
+
+
+def poll_step(*sides):
+    """The first poll instant of perfbench's set-up wait that the quartiles of
+    some side's ``probe_s`` straddle, or None."""
+    for probes in map(_probes, sides):
+        if len(probes) > 1:
+            q1, _, q3 = statistics.quantiles(probes, n=4)
+            for instant in POLL_INSTANTS:
+                if q1 <= instant <= q3:
+                    return instant
+    return None
 
 
 def _lines(pattern):
@@ -201,6 +226,8 @@ def _print_verdicts(report, parent):
             if "attempted_ratio" in v:
                 done = v["attempted_ratio"]
                 line += f"  attempted {done:.3f}" if done is not None else "  attempted n/a"
+            if v.get("poll_step") is not None:
+                line += f"  at a poll step ({v['poll_step']:.3f} s)"
             print(line)
     for workload, entry in report["workloads"].items():
         if "probe" in entry:
@@ -270,6 +297,8 @@ def main(argv=None):
             entry = report["workloads"][workload]
             entry["pairs"] = compare(runs["change"], runs["parent"])
             entry["verdicts"] = verdicts(runs["change"], runs["parent"], end_to_end)
+            if "setup_s" in entry["verdicts"]:
+                entry["verdicts"]["setup_s"]["poll_step"] = poll_step(runs["change"], runs["parent"])
             probes = _probe_median(runs["change"]), _probe_median(runs["parent"])
             if None not in probes:
                 entry["probe"] = {"change": probes[0], "parent": probes[1],
