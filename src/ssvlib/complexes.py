@@ -16,7 +16,7 @@ from .errors import (
     ContainmentError, Frozen, OutsideSupportError, ParamError, Record, ValidationError
 )
 from .lattice import Lattice, is_direct_summand
-from .linalg import clear_denominators, integer_rref, solve_rational, vec_dot
+from .linalg import clear_denominators, integer_rref, mat_rank, vec_dot
 from .polyhedral import (
     _intersection_vertices,
     _is_face,
@@ -68,12 +68,14 @@ class Cell(Frozen):
         return cone_over(self.polytope)
 
     def span_matches_weight_group(self):
-        """Rational span of the cone equals the span of the weight group."""
-        rays = self.cone().rays
-        if self.weight_group.rank != self.polytope.dim + 1:
-            return False
-        basis_cols = list(zip(*self.weight_group.basis))
-        return all(solve_rational(basis_cols, r) is not None for r in rays)
+        """Rational span of the cone equals the span of the weight group.
+
+        The cone's rays span a (dim + 1)-space.  At that rank, adding them
+        keeps the group's rank exactly when they lie in its span, which then
+        equals theirs.
+        """
+        basis = self.weight_group.basis
+        return len(basis) == self.polytope.dim + 1 == mat_rank(basis + self.cone().rays)
 
 
 class CheckResult(Record):

@@ -121,7 +121,7 @@ class DegenerateLiftError(SSVError):
 
 
 class InvalidRankDataError(SSVError):
-    """Rank function data violates boundary or submodularity constraints."""
+    """Rank function data violates boundary or supermodularity constraints."""
 
 
 class NonLatticeError(SSVError):

@@ -2,14 +2,16 @@
 
 Everything uses arbitrary-precision Python ints.  Subgroups are represented
 by a canonical Hermite-form basis, so equality of subgroups is equality of
-representations; kernels, intersections and saturations are read off Hermite
-bases.  The Smith normal form is kept for invariant factors.
+representations; kernels, intersections, saturations and direct summands
+come off Hermite bases.  Smith forms serve invariant factors only.
 """
 
 from math import prod
 
 from .errors import ContainmentError, Frozen, Record
-from .linalg import canonical_direction, mat_identity, rational_nullspace
+from .linalg import (
+    canonical_direction, clear_denominators, integer_rref, mat_identity, rref_nullspace, vec_dot
+)
 
 
 class SmithDecomposition(Record):
@@ -178,10 +180,6 @@ class AbelianInvariants(Record):
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def is_free(self):
-        return not self.torsion
-
     def __str__(self):
         parts = []
         if self.free_rank:
@@ -286,23 +284,20 @@ class Lattice(Frozen):
         return Lattice(self.ambient_rank, gens)
 
     def intersect_subspace(self, spanning_vectors):
-        """Sublattice of elements lying in the rational span of the vectors."""
-        span_rows = [tuple(v) for v in spanning_vectors if any(x != 0 for x in v)]
-        if not span_rows:
-            return Lattice(self.ambient_rank)
-        # Equations cutting out the span: vectors orthogonal to every row.
-        nullspace = rational_nullspace(span_rows)
-        equations = [canonical_direction(v) for v in nullspace]
-        if not equations:
+        """Sublattice of elements lying in the rational span of the vectors.
+
+        Its equations are the kernel of the vectors, read off the integer
+        echelon form of their rows with denominators cleared.  That kernel is
+        the rational one scaled by the last pivot, so ``canonical_direction``
+        makes the same primitive equations of both.
+        """
+        span_rows = [clear_denominators(v) for v in spanning_vectors]
+        kernel = rref_nullspace(*integer_rref(span_rows), self.ambient_rank)
+        equations = [canonical_direction(v) for v in kernel]
+        if not equations or self.is_zero:
             return self
-        if self.is_zero:
-            return self
-        coeff = tuple(
-            tuple(sum(e[k] * row[k] for k in range(self.ambient_rank)) for row in self.basis)
-            for e in equations
-        )
-        gens = [self.member(sol) for sol in integer_kernel(coeff)]
-        return Lattice(self.ambient_rank, gens)
+        coeff = [[vec_dot(e, row) for row in self.basis] for e in equations]
+        return Lattice(self.ambient_rank, [self.member(sol) for sol in integer_kernel(coeff)])
 
 
 def coordinate_matrix(sub, ambient):
@@ -319,16 +314,15 @@ def coordinate_matrix(sub, ambient):
     return tuple(rows)
 
 
-def quotient_invariants(sub, ambient):
-    """Invariants of ambient/sub (sub must be contained in ambient)."""
-    if sub.is_zero:
-        return AbelianInvariants(ambient.rank, ())
-    return cokernel_invariants(coordinate_matrix(sub, ambient), ambient.rank)
-
-
 def is_direct_summand(sub, ambient):
-    """True iff ambient/sub is torsion-free."""
-    return quotient_invariants(sub, ambient).is_free
+    """True iff ambient/sub is torsion-free; ContainmentError if sub is not inside.
+
+    With C = U [D 0] V the coordinates of sub in ambient, U and V unimodular,
+    the columns of C generate U D Z^k: all of Z^k, whose Hermite basis is the
+    identity, exactly when every invariant factor is 1.
+    """
+    columns = list(zip(*coordinate_matrix(sub, ambient)))
+    return hermite_basis(columns, sub.rank) == mat_identity(sub.rank)
 
 
 def saturation_and_index(sub, ambient):

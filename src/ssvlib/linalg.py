@@ -104,15 +104,6 @@ def rref_nullspace(rows, pivots, width):
     return out
 
 
-def rational_nullspace(m):
-    """Basis of the right nullspace {x : m x = 0} over the rationals."""
-    if not m:
-        return []
-    rows, pivots = integer_rref([clear_denominators(row) for row in m])
-    d = rows[0][pivots[0]] if rows else 1
-    return [tuple(Fraction(x, d) for x in w) for w in rref_nullspace(rows, pivots, len(m[0]))]
-
-
 def solve_rational(m, b):
     """One solution of m x = b over the rationals, or None."""
     if not m:

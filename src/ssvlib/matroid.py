@@ -7,7 +7,7 @@ from .errors import (
     Frozen, InvalidRankDataError, NonLatticeError, ParamError, Record, SearchBudgetError
 )
 from .linalg import primitive, vec_sub
-from .polyhedral import Cone, convex_hull
+from .polyhedral import convex_hull
 from .degeneration import regular_subdivision, subdivision_cell
 
 SEARCH_BUDGET = 200_000
@@ -54,7 +54,7 @@ class RankFunctionData(Frozen):
     """Lower bounds d_I on coordinate sums over subsets of positions.
 
     Unspecified subsets default to the trivial bounds implied by the box;
-    the full table must satisfy the boundary conditions and submodularity.
+    the full table must satisfy the boundary conditions and supermodularity.
     """
 
     __slots__ = ("shape", "table")
@@ -87,7 +87,7 @@ class RankFunctionData(Frozen):
                 rhs = self.table[a | b] + self.table[a & b]
                 if lhs > rhs:
                     raise InvalidRankDataError(
-                        f"submodularity fails at {sorted(a)}, {sorted(b)}"
+                        f"supermodularity fails at {sorted(a)}, {sorted(b)}"
                     )
 
     def bound(self, subset):
@@ -110,21 +110,16 @@ def _all_subsets(n):
 def thin_cell_weight_set(shape, rank_data):
     """(points, full_flag, witness) for the thin-cell weight subset.
 
-    The flag records whether the subset is all lattice points of its own
-    convex hull; on failure the witness is a hull lattice point missing
-    from the subset.
+    The flag says whether the subset is all lattice points of its own convex
+    hull, with a missing one as witness.  It always is: the supermodular
+    bounds cut the integer points of a base polyhedron out of the integral
+    rank box, an M-convex set, which has no holes (Murota, "Discrete Convex
+    Analysis", 2003, ch. 4).  So the flag is True and the witness None.
     """
     points = weight_set(shape)
     # only the entries above the box's own bound can drop a point
     binding = [(s, b) for s, b in rank_data.table.items() if b > _box_bound(shape, s)]
     kept = [p for p in points if all(sum(p[i] for i in s) >= b for s, b in binding)]
-    if kept:
-        # p lies in the hull of the kept points iff (1, p) lies in the cone over them
-        cone = Cone.from_rays(shape.positions + 1, [(1,) + q for q in kept])
-        held = set(kept)
-        for p in points:
-            if p not in held and cone.contains((1,) + p):
-                return kept, False, p
     return kept, True, None
 
 

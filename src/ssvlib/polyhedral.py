@@ -21,7 +21,7 @@ A hull is the cone over its homogenized points (1, p): the facets of that
 cone are the facets of the polytope, a point is a vertex exactly when the
 facets through it meet in it alone (extreme rays of a pointed cone
 likewise), and a point x lies in the hull exactly when the cone holds
-(1, x), which ``matroid.thin_cell_weight_set`` tests with no hull.  The
+(1, x); ``matroid``'s thin cells are full by a proof, with no such test.  The
 points (1, v) span the rows of the (1, p) and so share their pivot frame, where primitive normals and kernel lines are unique;
 hence ``cone_over`` reads the cone off the polytope's facets and
 equations.  The vertices of {n.x >= c} are the rays (s, s v), s > 0, of the

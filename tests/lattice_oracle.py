@@ -7,10 +7,25 @@ Smith form; ``intersect`` is the earlier ``Lattice.intersect`` on that
 kernel.  The library now reads all of them off canonical Hermite bases, and
 these stay as an independent oracle.  ``mat_vec`` is the earlier
 ``linalg.mat_vec``.
+
+The weight-group questions of validation are kept here in their earlier
+form too.  ``rational_nullspace`` is the earlier ``linalg`` one, and
+``intersect_subspace`` the earlier ``Lattice.intersect_subspace`` on it, in
+Fractions.  ``span_matches_weight_group`` is the earlier ``Cell`` method, one
+``solve_rational`` per ray.  ``quotient_invariants`` and ``is_direct_summand``
+are the earlier ``lattice`` ones, which ask a full Smith form whether the
+quotient is free; ``AbelianInvariants`` carries the earlier ``is_free``, and
+``cokernel_invariants`` wraps the library's in it.
 """
 
+from fractions import Fraction
+
+from ssvlib import lattice
+from ssvlib.errors import Record
 from ssvlib.lattice import Lattice, coordinate_matrix, smith_normal_form
-from ssvlib.linalg import solve_rational, vec_dot
+from ssvlib.linalg import (
+    canonical_direction, clear_denominators, integer_rref, rref_nullspace, solve_rational, vec_dot
+)
 
 
 def mat_vec(m, v):
@@ -96,3 +111,69 @@ def saturation_and_index(sub, ambient):
     for d in snf.diag[:rank]:
         index *= d
     return Lattice(ambient.ambient_rank, gens), index
+
+
+def rational_nullspace(m):
+    """Basis of the right nullspace {x : m x = 0} over the rationals."""
+    if not m:
+        return []
+    rows, pivots = integer_rref([clear_denominators(row) for row in m])
+    d = rows[0][pivots[0]] if rows else 1
+    return [tuple(Fraction(x, d) for x in w) for w in rref_nullspace(rows, pivots, len(m[0]))]
+
+
+def intersect_subspace(self, spanning_vectors):
+    """Sublattice of elements lying in the rational span of the vectors."""
+    span_rows = [tuple(v) for v in spanning_vectors if any(x != 0 for x in v)]
+    if not span_rows:
+        return Lattice(self.ambient_rank)
+    # Equations cutting out the span: vectors orthogonal to every row.
+    nullspace = rational_nullspace(span_rows)
+    equations = [canonical_direction(v) for v in nullspace]
+    if not equations:
+        return self
+    if self.is_zero:
+        return self
+    coeff = tuple(
+        tuple(sum(e[k] * row[k] for k in range(self.ambient_rank)) for row in self.basis)
+        for e in equations
+    )
+    gens = [self.member(sol) for sol in integer_kernel(coeff)]
+    return Lattice(self.ambient_rank, gens)
+
+
+def span_matches_weight_group(self):
+    """Rational span of the cone equals the span of the weight group."""
+    rays = self.cone().rays
+    if self.weight_group.rank != self.polytope.dim + 1:
+        return False
+    basis_cols = list(zip(*self.weight_group.basis))
+    return all(solve_rational(basis_cols, r) is not None for r in rays)
+
+
+class AbelianInvariants(Record):
+    """Finitely generated abelian group: Z^free_rank + sum Z/t, t | next."""
+
+    __slots__ = ("free_rank", "torsion")
+
+    @property
+    def is_free(self):
+        return not self.torsion
+
+
+def cokernel_invariants(relation_rows, ambient_rank):
+    """Invariants of Z^ambient_rank modulo the row span of relation_rows."""
+    invariants = lattice.cokernel_invariants(relation_rows, ambient_rank)
+    return AbelianInvariants(invariants.free_rank, invariants.torsion)
+
+
+def quotient_invariants(sub, ambient):
+    """Invariants of ambient/sub (sub must be contained in ambient)."""
+    if sub.is_zero:
+        return AbelianInvariants(ambient.rank, ())
+    return cokernel_invariants(coordinate_matrix(sub, ambient), ambient.rank)
+
+
+def is_direct_summand(sub, ambient):
+    """True iff ambient/sub is torsion-free."""
+    return quotient_invariants(sub, ambient).is_free

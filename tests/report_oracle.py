@@ -11,7 +11,9 @@ images not equal to one kept before; it enumerates the group as the
 matrices of ``weyl_matrices``, products of ``reflection_matrix`` ones, and
 maps the polytope by ``transformed``.  ``validate_complex`` runs its
 containment and face-restriction loops on every input, also when the
-checks before them already imply that these pass.
+checks before them already imply that these pass.  Its weight groups go
+through the earlier Fraction and Smith paths of ``lattice_oracle``: the span
+test, direct summands and intersections with a span.
 
 ``from_halfspaces``, ``intersect_polytopes``, ``barycenter`` and
 ``relative_interiors_meet`` are the library's earlier versions too: each
@@ -22,6 +24,8 @@ library's pairwise vertex path (``polyhedral._halfspace_vertices``).
 
 from fractions import Fraction
 from math import gcd
+
+from lattice_oracle import intersect_subspace, is_direct_summand, span_matches_weight_group
 
 from ssvlib.complexes import (
     Cell,
@@ -38,7 +42,6 @@ from ssvlib.degeneration import (
     regular_subdivision,
 )
 from ssvlib.errors import ContainmentError, NotReducedError, RankError
-from ssvlib.lattice import is_direct_summand
 from ssvlib.linalg import clear_denominators, mat_identity, vec_dot
 from ssvlib.polyhedral import AffineMonoid, _pointed_rays, cone_over, convex_hull, hilbert_basis
 from ssvlib.rootdata import root_datum
@@ -149,7 +152,7 @@ def special_fiber_complex(gamma, polytope, points, heights):
     rank = polytope.ambient_rank
     wrapped = []
     for i, cell in enumerate(cells):
-        group = gamma.intersect_subspace([(1,) + v for v in cell.vertices])
+        group = intersect_subspace(gamma, [(1,) + v for v in cell.vertices])
         wrapped.append(Cell(f"c{i}", cell, group))
     base = SSVComplex(rank, gamma, wrapped, tuple(c.id for c in wrapped))
     return complete_faces(base, full=True)
@@ -240,7 +243,7 @@ def validate_complex(complex_):
 
     span_witness = ""
     for c in cells:
-        if not c.span_matches_weight_group():
+        if not span_matches_weight_group(c):
             span_witness = f"cell {c.id}"
             break
     checks.append(CheckResult("cell-spans", span_witness == "", span_witness))
@@ -305,8 +308,8 @@ def validate_complex(complex_):
             rays = face_cell.cone().rays
             expected = face_cell.weight_group
             for a, b, _inter in pairs:
-                ra = a.weight_group.intersect_subspace(rays)
-                rb = b.weight_group.intersect_subspace(rays)
+                ra = intersect_subspace(a.weight_group, rays)
+                rb = intersect_subspace(b.weight_group, rays)
                 if ra != rb or ra != expected:
                     restrict_witness = (
                         f"cells {a.id},{b.id} restrict differently on face {face_id}"

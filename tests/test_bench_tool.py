@@ -210,3 +210,31 @@ def test_a_set_up_reading_whose_probes_straddle_a_poll_instant_is_flagged(capsys
     printed = capsys.readouterr().out.splitlines()
     assert printed[1].endswith("OUT OF BOUND  at a poll step (0.113 s)")
     assert printed[2].endswith("OUT OF BOUND")
+
+
+def test_the_probe_ratio_carries_the_parent_spread_and_the_pairs(capsys):
+    bench = _bench()
+
+    def probes(*values):
+        return [{"probe_s": p} for p in values]
+
+    # a bimodal parent, 0.20 or 0.24 s, and a change that reads the same
+    parent = probes(0.20, 0.24, 0.20, 0.24, 0.20, 0.24, 0.20, 0.24, 0.20, 0.24)
+    same = probes(0.24, 0.20, 0.24, 0.20, 0.24, 0.20, 0.24, 0.20, 0.24, 0.20, None)
+    noise = bench.probe_comparison(same, parent)
+    assert noise["change"] == noise["parent"] == 0.22 and noise["ratio"] == 1.0
+    assert (noise["parent_q1"], noise["parent_q3"]) == (0.2, 0.24)
+    assert (noise["lower_in"], noise["pairs"]) == (5, 10) and not noise["resolved"]
+    # every probe of the change below every probe of the parent
+    faster = bench.probe_comparison(probes(*[0.15] * 10), parent)
+    assert faster["lower_in"] == 10 and faster["resolved"] and faster["ratio"] < 0.7
+    assert bench.probe_comparison(probes(None, None), parent) is None
+    report = {"workloads": {"noise": {"verdicts": {}, "probe": noise},
+                            "faster": {"verdicts": {}, "probe": faster}},
+              "src_lines": 1, "tests_lines": 1}
+    bench._print_verdicts(report, report)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1] == ("noise         probe_s: parent 0.2200 s, change 0.2200 s, ratio 1.000, "
+                          "parent quartiles 0.2000-0.2400 s, lower in 5/10  unresolved")
+    assert printed[2] == ("faster        probe_s: parent 0.2200 s, change 0.1500 s, ratio 0.682, "
+                          "parent quartiles 0.2000-0.2400 s, lower in 10/10")

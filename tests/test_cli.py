@@ -198,8 +198,8 @@ def test_matroid_commands():
 
 
 def test_thin_cell_past_the_hull_dimension_cap():
-    # eight positions: the fullness test runs on the cone over the kept
-    # points, with no hull of them, so the hull cap of six does not apply
+    # eight positions: the thin cell builds no hull and no cone, so the hull
+    # cap of six does not apply
     res = run_cli(
         ["matroid", "thincell", "--r", "4", "--ranks", "1,1,1,1,1,1,1,1",
          "--d", '{"0123": 1, "4567": 1}', "--format", "json"]

@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
 
 import lattice_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracle import quotient_invariants
 from sympy import Matrix
 
 from ssvlib import lattice
 from ssvlib.cohomology import build_gluing_complex, diag_cohomology
+from ssvlib.complexes import Cell, SSVComplex, complete_faces, validate_complex
+from ssvlib.degeneration import regular_subdivision
 from ssvlib.fixtures import triangle_pair_complex
 from ssvlib.lattice import (
     AbelianInvariants,
@@ -18,10 +22,10 @@ from ssvlib.lattice import (
     integer_kernel,
     invariant_factors,
     is_direct_summand,
-    quotient_invariants,
     saturation_and_index,
     smith_normal_form,
 )
+from ssvlib.polyhedral import cone_over, convex_hull
 from ssvlib.linalg import integer_rref
 from ssvlib.errors import ContainmentError
 
@@ -367,3 +371,121 @@ def test_subgroups_come_off_the_hermite_form(monkeypatch):
     sub = gamma.intersect_subspace([(1, 4, 0), (1, 4, 2)])
     assert sub == Lattice(3, [(1, 4, 0), (0, 0, 2)])
     assert [diag_cohomology(gluing, d) for d in (0, 1)] == expected
+
+
+# Weight groups, against the earlier Fraction and Smith paths of the oracle.
+
+halves_and_thirds = st.builds(Fraction, entry, st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def subspace_cases(draw):
+    """A lattice, often the zero one or not saturated, and rows spanning a subspace.
+
+    The rows carry denominators 2 and 3, as face vertices (1,) + v do, and
+    some are zero; up to width + 1 of them often span the whole space.
+    """
+    width, gens = draw(generator_sets(max_width=5))
+    rows = draw(st.lists(st.tuples(*[halves_and_thirds] * width), max_size=width + 1))
+    rows += [(0,) * width] * draw(st.integers(0, 2))
+    return Lattice(width, gens), draw(st.permutations(rows))
+
+
+@EXAMPLES
+@given(subspace_cases())
+def test_intersect_subspace_matches_the_fraction_nullspace(case):
+    group, rows = case
+    assert group.intersect_subspace(rows) == oracle.intersect_subspace(group, rows)
+
+
+def test_intersect_subspace_clears_denominators():
+    # the cone over the vertex (1/2, 1/3) is the line through (6, 3, 2), and
+    # that over the segment from (1/2, 0) to (0, 1/3) is x = 2y + 3z
+    line = Lattice.standard(3).intersect_subspace([(1, Fraction(1, 2), Fraction(1, 3))])
+    assert line == Lattice(3, [(6, 3, 2)])
+    plane = Lattice.standard(3).intersect_subspace([(1, Fraction(1, 2), 0), (1, 0, Fraction(1, 3))])
+    assert plane == Lattice(3, [(2, 1, 0), (3, 0, 1)])
+    assert Lattice.standard(2).intersect_subspace([(0, 0)]) == Lattice(2)
+
+
+@st.composite
+def cells_with_groups(draw):
+    """A cell whose weight group has the cone's span, or is any group of Z^(1+r).
+
+    Groups drawn from the rays are integer combinations of them: of the
+    right span and rank, often not saturated, or of too small a rank.  The
+    other groups mostly have the wrong rank, or the right rank and the
+    wrong span.
+    """
+    r = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=5))
+    polytope = convex_hull(points)
+    rays = cone_over(polytope).rays
+    if draw(st.booleans()):
+        combos = draw(st.lists(st.tuples(*[entry] * len(rays)), max_size=4))
+        gens = [tuple(sum(c * ray[k] for c, ray in zip(combo, rays)) for k in range(r + 1))
+                for combo in combos]
+    else:
+        gens = draw(st.lists(st.tuples(*[entry] * (r + 1)), max_size=4))
+    return Cell("c", polytope, Lattice(r + 1, gens))
+
+
+@EXAMPLES
+@given(cells_with_groups())
+def test_span_test_matches_one_solve_per_ray(cell):
+    assert cell.span_matches_weight_group() == oracle.span_matches_weight_group(cell)
+
+
+def test_span_test_examples():
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert Cell("c", square, Lattice(3, [(1, 0, 0), (0, 2, 0), (0, 0, 3)])).span_matches_weight_group()
+    segment = convex_hull([(0, 0), (1, 0)])
+    # the right rank, the wrong span; a smaller rank inside the span; a larger one
+    for gens in ([(1, 0, 0), (0, 0, 1)], [(1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        assert not Cell("c", segment, Lattice(3, gens)).span_matches_weight_group()
+    assert Cell("c", segment, Lattice(3, [(2, 0, 0), (0, 4, 0)])).span_matches_weight_group()
+
+
+def _outcome(test, sub, ambient):
+    try:
+        return test(sub, ambient)
+    except ContainmentError:
+        return "not contained"
+
+
+@EXAMPLES
+@given(subgroup_pairs(), st.booleans(), st.data())
+def test_direct_summand_matches_the_smith_quotient(case, stray, data):
+    # ambients are arbitrary subgroups, and subgroups are often of rank 0;
+    # a stray subgroup of the same Z^width is often not inside the ambient
+    sub, ambient = case
+    if stray:
+        width = ambient.ambient_rank
+        sub = Lattice(width, data.draw(st.lists(st.tuples(*[entry] * width), max_size=3)))
+    assert _outcome(is_direct_summand, sub, ambient) == _outcome(oracle.is_direct_summand, sub, ambient)
+
+
+def test_a_completed_toric_subdivision_validates_with_no_smith_form(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    points = [(x, y) for x in range(4) for y in range(4 - x)]
+    heights = [0, 0, 0, 2, 1, 2, 2, 4, 1, 4]
+    gamma = Lattice.standard(3)
+    cells = regular_subdivision(convex_hull([(0, 0), (3, 0), (0, 3)]), points, heights)
+    wrapped = [Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays)) for i, p in enumerate(cells)]
+    full = complete_faces(SSVComplex(2, gamma, wrapped, [c.id for c in wrapped]))
+    assert len(full.cells) > len(cells) > 1
+    report = validate_complex(full)
+    assert report.passed and calls == []
+    # a weight group with a torsion quotient is found with no Smith form too
+    first, *rest = full.sorted_cells()
+    basis = first.weight_group.basis
+    scaled = Cell(first.id, first.polytope, Lattice(3, [tuple(2 * x for x in basis[0]), *basis[1:]]))
+    broken = SSVComplex(2, gamma, [scaled, *rest], full.maximal_ids)
+    assert validate_complex(broken).failures()[0].name == "weight-groups-direct-summands"
+    assert calls == []

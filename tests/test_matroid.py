@@ -85,7 +85,7 @@ def test_rank_function_defaults_and_validation():
     with pytest.raises(InvalidRankDataError):
         RankFunctionData(shape, {frozenset(): 1})
     with pytest.raises(InvalidRankDataError):
-        # violates submodularity with the forced boundary values
+        # violates supermodularity with the forced boundary values
         RankFunctionData(shape, {(0, 1): 2, (2, 3): 2})
     with pytest.raises(ParamError):
         GradedShape(5, (1, 1))
@@ -122,7 +122,7 @@ def test_thin_cell_non_full_witness():
 
 def test_non_full_set_detection_direct():
     # bypass rank data: a point is in the hull of the kept points exactly
-    # when the cone over the kept (1, q) holds (1, p), the thin cell's test
+    # when the cone over the kept (1, q) holds (1, p), the oracle's test
     kept = [(0, 2, 0), (2, 0, 0), (0, 0, 2)]
     cone = Cone.from_rays(4, [(1,) + q for q in kept])
     assert cone.contains((1, 1, 1, 0))
@@ -151,7 +151,8 @@ def _random_rank_data(rng):
 def test_thin_cells_are_the_filtered_box_and_full():
     # the rank data cut an M-natural-convex set out of the box, and such a
     # set holds every lattice point of its hull (Murota, Discrete Convex
-    # Analysis, 2003), so each thin cell is full
+    # Analysis, 2003), so each thin cell is full; the oracle tests that by a
+    # cone over the kept points, which the library no longer builds
     rng = random.Random(7)
     for _ in range(200):
         shape, data = _random_rank_data(rng)
@@ -163,6 +164,7 @@ def test_thin_cells_are_the_filtered_box_and_full():
         points, full, witness = thin_cell_weight_set(shape, data)
         assert points == expected, (shape, data.table)
         assert full and witness is None
+        assert matroid_oracle.thin_cell_weight_set(shape, data) == (points, True, None)
 
 
 def test_is_matroid_polytope():

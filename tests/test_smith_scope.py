@@ -1,12 +1,14 @@
 """Smith normal form stays where the answer is invariant factors.
 
-Subgroups (kernels, intersections, saturations) are read off canonical
-Hermite bases.  Every module under ``src/ssvlib`` is parsed, and each
+Subgroups (kernels, intersections, saturations, direct summands) are read
+off canonical Hermite bases.  Every module under ``src/ssvlib`` is parsed, and each
 reference to ``smith_normal_form`` is located by the top-level function that
 holds it: only its definition and ``invariant_factors`` in ``lattice`` and
 the ``ssv snf`` command in ``cli`` may name it (the package exports it by a
 string in its table of names).  The
-Smith-transform helpers that subgroups no longer need stay deleted.
+Smith-transform helpers that subgroups no longer need stay deleted, and so
+do the Fraction nullspace and the quotient invariants that weight groups no
+longer need.
 """
 
 import ast
@@ -20,7 +22,10 @@ ALLOWED = {
     ("cli.py", "<module>"),
     ("cli.py", "_cmd_snf"),
 }
-DELETED = {"solve_integer", "lattice_index", "mat_inverse_unimodular", "mat_vec"}
+DELETED = {
+    "solve_integer", "lattice_index", "mat_inverse_unimodular", "mat_vec", "rational_nullspace",
+    "quotient_invariants",
+}
 
 
 def _names(node):

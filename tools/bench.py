@@ -37,8 +37,11 @@ fresh interpreter) is timed ``PROBES`` times directly, and the run keeps the
 median as ``probe_s``; perfbench's own ``setup_s`` waits on each probe with a
 timeout, and that wait polls in steps of up to 50 ms, which hide a
 difference of a few tens of milliseconds.  The paired run prints, under the
-verdict table, each workload's median ``probe_s`` of both checkouts and
-their ratio.  That wait polls at 1, 3, 7, 15, 31 and 63 ms and every 50 ms
+verdict table, each workload's median ``probe_s`` of both checkouts, their
+ratio, the quartiles of the parent's probes and the pairs in which this
+checkout read lower, and ``unresolved`` when this checkout's median lies
+between the parent's quartiles, where the probe's own noise could put it.
+That wait polls at 1, 3, 7, 15, 31 and 63 ms and every 50 ms
 after; when the quartiles of either checkout's ``probe_s`` straddle one of
 those instants, the same code reads ``setup_s`` one step apart from run to
 run, and the workload's ``setup_s`` verdict is printed with ``at a poll
@@ -125,6 +128,22 @@ def poll_step(*sides):
                 if q1 <= instant <= q3:
                     return instant
     return None
+
+
+def probe_comparison(runs, parent_runs):
+    """Median ``probe_s`` of both sides and their ratio, the parent's quartiles,
+    the pairs in which this side read lower, and whether its median lies
+    outside those quartiles; None when a side has no probe."""
+    change, parent = _probe_median(runs), _probe_median(parent_runs)
+    if change is None or parent is None:
+        return None
+    probes = _probes(parent_runs)
+    q1, _, q3 = statistics.quantiles(probes, n=4) if len(probes) > 1 else (parent,) * 3
+    pairs = [(run["probe_s"], other["probe_s"]) for run, other in zip(runs, parent_runs)
+             if run.get("probe_s") is not None and other.get("probe_s") is not None]
+    return {"change": change, "parent": parent, "ratio": change / parent,
+            "parent_q1": q1, "parent_q3": q3, "lower_in": sum(a < b for a, b in pairs),
+            "pairs": len(pairs), "resolved": not q1 <= change <= q3}
 
 
 def _lines(pattern):
@@ -232,8 +251,13 @@ def _print_verdicts(report, parent):
     for workload, entry in report["workloads"].items():
         if "probe" in entry:
             probe = entry["probe"]
-            print(f"{workload:<14}probe_s: parent {probe['parent']:.4f} s, "
-                  f"change {probe['change']:.4f} s, ratio {probe['ratio']:.3f}")
+            line = (f"{workload:<14}probe_s: parent {probe['parent']:.4f} s, "
+                    f"change {probe['change']:.4f} s, ratio {probe['ratio']:.3f}")
+            if "parent_q1" in probe:
+                line += (f", parent quartiles {probe['parent_q1']:.4f}-{probe['parent_q3']:.4f} s, "
+                         f"lower in {probe['lower_in']}/{probe['pairs']}")
+                line += "" if probe["resolved"] else "  unresolved"
+            print(line)
     for key, files in (("src_lines", "src/ssvlib/*.py"), ("tests_lines", "tests/*.py")):
         lines, before = report[key], parent[key]
         print(f"{files} lines: parent {before}, change {lines} ({lines - before:+d})")
@@ -299,10 +323,9 @@ def main(argv=None):
             entry["verdicts"] = verdicts(runs["change"], runs["parent"], end_to_end)
             if "setup_s" in entry["verdicts"]:
                 entry["verdicts"]["setup_s"]["poll_step"] = poll_step(runs["change"], runs["parent"])
-            probes = _probe_median(runs["change"]), _probe_median(runs["parent"])
-            if None not in probes:
-                entry["probe"] = {"change": probes[0], "parent": probes[1],
-                                  "ratio": probes[0] / probes[1]}
+            probe = probe_comparison(runs["change"], runs["parent"])
+            if probe is not None:
+                entry["probe"] = probe
         parent = _report("parent", sides, "parent", roots["parent"])
         _write(parent)
     _write(report)
