@@ -140,9 +140,7 @@ def _supplied_restriction(cell, face_cell):
         raise MissingAutError(f"cell {cell.id} carries no automorphism data")
     restriction = cell.aut.restriction_to(face_cell.id)
     if restriction is None:
-        raise MissingAutError(
-            f"cell {cell.id} has no restriction map to face {face_cell.id}"
-        )
+        raise MissingAutError(f"cell {cell.id} has no restriction map to face {face_cell.id}")
     return tuple(tuple(r) for r in restriction.matrix)
 
 
@@ -152,18 +150,15 @@ def _intersection_cell(complex_, cells):
     In a valid complex every intersection of cells is a common face, so its
     vertices are exactly the vertices the cells share.
     """
-    common = set(cells[0].polytope.vertices)
+    common = complex_._masks[cells[0].id]
     for other in cells[1:]:
-        common &= set(other.polytope.vertices)
+        common &= complex_._masks[other.id]
     if not common:
         return None
-    stored = complex_.cell_with_vertices(sorted(common))
+    stored = complex_._by_mask.get(common)
     if stored is None:
-        raise MissingAutError(
-            "intersection of "
-            + ",".join(c.id for c in cells)
-            + " is not a stored cell"
-        )
+        ids = ",".join(c.id for c in cells)
+        raise MissingAutError(f"intersection of {ids} is not a stored cell")
     return stored
 
 
@@ -238,12 +233,8 @@ def build_gluing_complex(complex_, mode="toric"):
         composite = _row_apply(r2, d0, level0.total)
         if any(x != 0 for x in composite):
             if rel_lattice is None or composite not in rel_lattice:
-                raise IncompatibleRestrictionError(
-                    "restriction maps do not square to zero"
-                )
-    return GluingComplex(
-        tuple(c.id for c in maximal), level0, level1, level2, d0, d1
-    )
+                raise IncompatibleRestrictionError("restriction maps do not square to zero")
+    return GluingComplex(tuple(c.id for c in maximal), level0, level1, level2, d0, d1)
 
 
 def _check_hom(source_group, target_group, matrix, source_id, target_id):
@@ -296,24 +287,16 @@ def diag_cohomology(gluing, degree):
     rel0 = _relation_rows(gluing.level0)
     # x in ker iff x . d0 lies in the span of the level-0 relations.
     width0 = gluing.level0.total
-    stacked = []
-    for i in range(width0):
-        stacked.append(
-            tuple(gluing.d0_rows[r][i] for r in range(d1_total))
-            + tuple(-rel[i] for rel in rel0)
-        )
+    stacked = [tuple(gluing.d0_rows[r][i] for r in range(d1_total)) + tuple(-rel[i] for rel in rel0)
+               for i in range(width0)]
     basis = [k[:d1_total] for k in integer_kernel(stacked)] if stacked else mat_identity(d1_total)
     kernel_lattice = Lattice(d1_total, basis)
-    mod_rows = _relation_rows(gluing.level1) + [
-        r for r in gluing.d1_rows if any(x != 0 for x in r)
-    ]
+    mod_rows = _relation_rows(gluing.level1) + [r for r in gluing.d1_rows if any(x != 0 for x in r)]
     relations = []
     for r in mod_rows:
         coords = kernel_lattice.coordinates(r)
         if coords is None:
-            raise IncompatibleRestrictionError(
-                "image row escapes the kernel lattice"
-            )
+            raise IncompatibleRestrictionError("image row escapes the kernel lattice")
         relations.append(coords)
     return DiagGroup(kernel_lattice.rank, tuple(relations))
 

@@ -95,11 +95,15 @@ class ValidationReport(Record):
 
 
 class SSVComplex(Frozen):
-    """A validated-on-demand complex of moment polytopes."""
+    """A validated-on-demand complex of moment polytopes.
 
-    __slots__ = (
-        "rank", "gamma", "cells", "maximal_ids", "_by_id", "_by_vertices", "_report"
-    )
+    The cells' sorted distinct vertices are numbered once: a cell's ``_masks``
+    bits, read upwards, are its vertices in order, and ``_by_mask`` holds the
+    first cell in id order on each mask, so equal masks are equal polytopes.
+    """
+
+    __slots__ = ("rank", "gamma", "cells", "maximal_ids", "_by_id", "_numbering", "_masks",
+                 "_by_mask", "_report")
 
     def __init__(self, rank, gamma, cells, maximal_ids):
         if gamma.ambient_rank != rank + 1:
@@ -114,15 +118,20 @@ class SSVComplex(Frozen):
         for mid in maximal_ids:
             if mid not in by_id:
                 raise ValueError(f"maximal id {mid!r} is not a cell")
-        by_vertices = {}
+        distinct = sorted({v for c in cells for v in c.polytope.vertices})
+        numbering = {v: k for k, v in enumerate(distinct)}
+        masks = {c.id: sum(1 << numbering[v] for v in c.polytope.vertices) for c in cells}
+        by_mask = {}
         for cell_id in sorted(by_id):
-            by_vertices.setdefault(by_id[cell_id].polytope.vertices, by_id[cell_id])
+            by_mask.setdefault(masks[cell_id], by_id[cell_id])
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "cells", tuple(cells))
         object.__setattr__(self, "maximal_ids", tuple(sorted(maximal_ids)))
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_vertices", by_vertices)
+        object.__setattr__(self, "_numbering", numbering)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_by_mask", by_mask)
         object.__setattr__(self, "_report", None)
 
     def cell(self, cell_id):
@@ -136,7 +145,13 @@ class SSVComplex(Frozen):
 
     def cell_with_vertices(self, vertices):
         """The first cell in id order with exactly these (sorted) vertices."""
-        return self._by_vertices.get(tuple(vertices))
+        vertices = tuple(vertices)
+        cell = self._by_mask.get(self._vertex_mask(vertices))
+        return cell if cell is not None and cell.polytope.vertices == vertices else None
+
+    def _vertex_mask(self, vertices):
+        """Mask of the vertices; one off the numbering sets a bit that no cell has."""
+        return sum({1 << self._numbering.get(v, len(self._numbering)) for v in vertices})
 
     def cell_with_polytope(self, polytope):
         return self.cell_with_vertices(polytope.vertices)
@@ -151,9 +166,7 @@ class SSVComplex(Frozen):
     def ensure_valid(self):
         report = self.validate()
         if not report.passed:
-            fails = "; ".join(
-                f"{c.name}: {c.witness}" for c in report.failures()
-            )
+            fails = "; ".join(f"{c.name}: {c.witness}" for c in report.failures())
             raise ValidationError(f"complex failed validation ({fails})", report)
         return report
 
@@ -279,32 +292,34 @@ def _pair_vertices(p, q, p_key, q_key):
     return _intersection_vertices(p, q)
 
 
-def _meets(complex_, cells, keys):
-    """(i, j) -> sorted vertices of cells i and j's intersection, or None when
-    it is no common face; their common vertices under ``validate_complex``'s P."""
+def _meets(complex_, cells, masks):
+    """(i, j) -> vertex mask of cells i and j's intersection, or None when it
+    is no common face; the AND of their masks under ``validate_complex``'s P,
+    which reads only the maximal cells' ``_vertex_key``."""
     polys = [c.polytope for c in cells]
+    top = [k for k, c in enumerate(cells) if c.id in complex_.maximal_ids]
+    keys = {k: _vertex_key(polys[k]) for k in top}
 
-    def meet(i, j):
+    def face(i, j):
         p, q = polys[i], polys[j]
         inter = _pair_vertices(p, q, keys[i], keys[j])
-        face = not inter or _is_face(inter, p, keys[i][0]) and _is_face(inter, q, keys[j][0])
-        return inter if face else None
+        ok = not inter or _is_face(inter, p, keys[i][0]) and _is_face(inter, q, keys[j][0])
+        return inter if ok else None
+
+    def meet(i, j):
+        inter = face(i, j)
+        return None if inter is None else complex_._vertex_mask(inter)
 
     def common(i, j):
-        both = masks[i] & masks[j]
-        return tuple(numbered[k] for k in range(both.bit_length()) if both >> k & 1)
+        return masks[i] & masks[j]
 
-    if len(cells) < 2:
-        return meet  # no pair to meet
-    numbered = sorted({v for p in polys for v in p.vertices})
-    at = {v: k for k, v in enumerate(numbered)}
-    masks = [sum(1 << at[v] for v in p.vertices) for p in polys]
-    top = [k for k, c in enumerate(cells) if c.id in complex_.maximal_ids]
-    faces = all(meet(i, j) is not None for x, i in enumerate(top) for j in top[x + 1:]) and all(
+    if all(face(i, j) is not None for x, i in enumerate(top) for j in top[x + 1:]) and all(
         any(not masks[k] & ~masks[i] and _is_face(p.vertices, polys[i], keys[i][0]) for i in top)
         for k, p in enumerate(polys)
-    )
-    return common if faces else meet
+    ):
+        return common
+    keys.update((k, _vertex_key(p)) for k, p in enumerate(polys) if k not in keys)
+    return meet
 
 
 def validate_complex(complex_):
@@ -318,18 +333,18 @@ def validate_complex(complex_):
     facets that one maximal cell carries (``_union_is_convex``), with no
     volume.  Each intersection is a vertex set, never hulled.
 
-    Pairs meet through ``_meets`` on a precondition P: each two maximal
-    cells meet in a common face (``_pair_vertices`` and ``_is_face``), and
-    each cell's vertex set is a face of a maximal cell.  Under P two cells
-    meet in their common vertices, read off bitmasks over the complex's
-    vertices, numbered once.  Why: let F, G be faces of maximal cells A, B
-    and C = A cap B a common face.  F cap C and G cap C are faces of A and B
+    Pairs meet through ``_meets`` on a precondition P: each two maximal cells
+    meet in a common face (``_pair_vertices`` and ``_is_face``), and each
+    cell's vertex set is a face of a maximal cell.  Under P two cells meet in
+    their common vertices, the AND of their masks (``SSVComplex``), and equal
+    masks share a polytope.  Why: let F, G be faces of maximal cells A, B and
+    C = A cap B a common face.  F cap C and G cap C are faces of A and B
     inside C, so faces of C, and so is F cap G = (F cap C) cap (G cap C); it
     lies in F cap C, a face of F, so it is a face of F, and of G likewise,
     with vertices V_F cap V_G.  Under P the face tests thus cannot fail, and
     the first failing pair is the first, in the same order, that shares a
-    polytope or meets in no stored cell.  Without P every pair is
-    intersected and face-tested.  ``SSVComplex`` forces one ambient rank.
+    polytope or meets in no stored cell.  Without P every pair is intersected
+    and face-tested.  ``SSVComplex`` forces one ambient rank.
 
     Two checks follow from earlier ones and search for a witness only when
     those fail.  If every pairwise intersection is a common face, a cell
@@ -348,11 +363,12 @@ def validate_complex(complex_):
 
     inter_witness = ""
     glued = []  # (id of the stored intersection, a, b)
-    meet = _meets(complex_, cells, [_vertex_key(c.polytope) for c in cells])
+    masks = [complex_._masks[c.id] for c in cells]
+    meet = _meets(complex_, cells, masks)
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             a, b = cells[i], cells[j]
-            if a.polytope == b.polytope:
+            if masks[i] == masks[j]:
                 inter_witness = f"cells {a.id},{b.id} share a polytope"
                 break
             inter = meet(i, j)
@@ -361,7 +377,7 @@ def validate_complex(complex_):
                 break
             if not inter:
                 continue
-            stored = complex_.cell_with_vertices(inter)
+            stored = complex_._by_mask.get(inter)
             if stored is None:
                 inter_witness = f"intersection of {a.id},{b.id} is not a cell"
                 break
@@ -398,9 +414,7 @@ def validate_complex(complex_):
             rays = face.cone().rays
             ra = a.weight_group.intersect_subspace(rays)
             if ra != face.weight_group or b.weight_group.intersect_subspace(rays) != ra:
-                restrict_witness = (
-                    f"cells {a.id},{b.id} restrict differently on face {face_id}"
-                )
+                restrict_witness = f"cells {a.id},{b.id} restrict differently on face {face_id}"
                 break
     checks.append(
         CheckResult("face-restrictions-agree", restrict_witness == "", restrict_witness)
@@ -418,12 +432,9 @@ class SectionModuleSummary(Record):
 
 def degree_slice(complex_, degree):
     """Points of gamma in degree ``degree`` over the union of maximal cells."""
-    points = set()
-    for cell in complex_.maximal_cells():
-        points.update(
-            graded_lattice_points(cell.polytope, complex_.gamma, degree)
-        )
-    return sorted(points)
+    gamma = complex_.gamma
+    return sorted({p for c in complex_.maximal_cells()
+                   for p in graded_lattice_points(c.polytope, gamma, degree)})
 
 
 def section_module(complex_, degree, datum):
@@ -433,14 +444,9 @@ def section_module(complex_, degree, datum):
     from .rootdata import weyl_dimension
 
     complex_.ensure_valid()
-    weights = []
-    total = 0
-    for point in degree_slice(complex_, degree):
-        lam = point[1:]
-        dim = weyl_dimension(datum, lam)
-        weights.append((lam, 1, dim))
-        total += dim
-    return SectionModuleSummary(degree, tuple(weights), total)
+    weights = tuple((p[1:], 1, weyl_dimension(datum, p[1:]))
+                    for p in degree_slice(complex_, degree))
+    return SectionModuleSummary(degree, weights, sum(dim for _, _, dim in weights))
 
 
 class MultiplicationBehavior(enum.Enum):
@@ -484,11 +490,7 @@ class OrbitPoset(Record):
         return len(self.minimal_ids()) == 1
 
     def minimal_ids(self):
-        out = []
-        for i in self.ids:
-            if not any(a != i and self.leq(a, i) for a in self.ids):
-                out.append(i)
-        return out
+        return [i for i in self.ids if not any(a != i and self.leq(a, i) for a in self.ids)]
 
     def __len__(self):
         return len(self.ids)
@@ -497,11 +499,8 @@ class OrbitPoset(Record):
 def orbit_poset(complex_):
     complex_.ensure_valid()
     cells = complex_.sorted_cells()
-    relations = set()
-    for a in cells:
-        for b in cells:
-            if a.id != b.id and b.polytope.contains_polytope(a.polytope):
-                relations.add((a.id, b.id))
+    relations = {(a.id, b.id) for a in cells for b in cells
+                 if a.id != b.id and b.polytope.contains_polytope(a.polytope)}
     return OrbitPoset(tuple(c.id for c in cells), frozenset(relations))
 
 
@@ -583,21 +582,25 @@ def complete_faces(complex_, full=True):
     """Add missing face cells, inheriting saturated weight groups.
 
     With ``full`` every face of every cell is added and nothing else: in a
-    polyhedral complex each pairwise intersection is a common face, so it
-    is among them (``validate_complex`` checks this).  Otherwise only
-    pairwise intersections are added, up to a fixpoint.  New cells get ids
-    "face0", "face1", ... in a deterministic order, and weight groups
+    polyhedral complex each pairwise intersection is a common face, so it is
+    among them (``validate_complex`` checks this).  A face's mask over the
+    complex's vertex numbering is read off its cell's mask, and the face is
+    built from the cell's incidences when no cell has that mask.  Otherwise
+    only pairwise intersections are added, up to a fixpoint.  New cells get
+    ids "face0", "face1", ... in a deterministic order, and weight groups
     gamma cap span(cone(face)).
     """
     cells = list(complex_.sorted_cells())
     fresh = []
     if full:
-        known = {c.polytope.vertices for c in cells}
+        known = set(complex_._by_mask)
         for c in cells:
+            mask = complex_._masks[c.id]
+            number = [k for k in range(mask.bit_length()) if mask >> k & 1]  # of each vertex
             for f in c.polytope.face_vertex_sets():
-                vertices = tuple(c.polytope.vertices[i] for i in sorted(f))
-                if vertices not in known:
-                    known.add(vertices)
+                face = sum(1 << number[i] for i in f)
+                if face not in known:
+                    known.add(face)
                     fresh.append(c.polytope.face_polytope(f))
     else:
         polytopes = {c.polytope for c in cells}

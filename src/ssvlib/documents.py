@@ -7,6 +7,7 @@ DocumentError carrying the offending field path.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .complexes import AutData, AutRestriction, Cell, SSVComplex
 from .errors import DocumentError
@@ -230,8 +231,32 @@ def heights_to_document(points, heights):
 
 
 def dumps(doc):
-    """Deterministic JSON text for a document."""
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    ``_encode`` recurses at module level, so it leaves no reference cycle, as
+    the pure-Python encoder's nested closures do on every call.  A value it
+    cannot write as that encoder does (a float, a key that is not a string)
+    raises ``TypeError``.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [inner + _encode(item, inner) for item in value]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items = [inner + encode_basestring_ascii(key) + ": " + _encode(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"cannot write {type(value).__name__} {value!r} as json.dumps does")
 
 
 def load_json(path):

@@ -22,9 +22,11 @@ cone are the facets of the polytope, a point is a vertex exactly when the
 facets through it meet in it alone (extreme rays of a pointed cone
 likewise), and a point x lies in the hull exactly when the cone holds
 (1, x); ``matroid``'s thin cells are full by a proof, with no such test.  The
-points (1, v) span the rows of the (1, p) and so share their pivot frame, where primitive normals and kernel lines are unique;
-hence ``cone_over`` reads the cone off the polytope's facets and
-equations.  The vertices of {n.x >= c} are the rays (s, s v), s > 0, of the
+points (1, v) span the rows of the (1, p) and so share their pivot frame,
+where primitive normals and kernel lines are unique; hence ``cone_over``
+reads the cone off the polytope's facets and equations, and a face is read
+off its parent's facet incidences (``Polytope.face_polytope``), with no
+hull.  The vertices of {n.x >= c} are the rays (s, s v), s > 0, of the
 cone -c s + n.x >= 0, s >= 0, so a pairwise intersection, which joins the
 rows of two such cones, is a vertex set read off the rays, with no hull.
 ``degeneration.regular_subdivision`` reads its cells off the lower facets of
@@ -41,6 +43,7 @@ from .linalg import (
     canonical_direction,
     clear_denominators,
     integer_rref,
+    mat_identity,
     mat_rank,
     primitive,
     rref_nullspace,
@@ -137,10 +140,14 @@ def _dual(rows, width):
     coords = [tuple(r[c] for c in pivots) for r in rows]
     facets = []
     for n in _supporting_normals(coords, len(pivots)):
-        at = dict(zip(pivots, n))
         mask = sum(1 << i for i, t in enumerate(coords) if vec_dot(n, t) == 0)
-        facets.append((tuple(at.get(c, 0) for c in range(width)), mask))
+        facets.append((_scatter(n, pivots, width), mask))
     return sorted(facets), rref_nullspace(reduced, pivots, width)
+
+
+def _scatter(n, pivots, width):
+    at = dict(zip(pivots, n))  # n at the pivot columns, 0 elsewhere
+    return tuple(at.get(c, 0) for c in range(width))
 
 
 def _pointed_rays(ambient, ineqs, eqs):
@@ -246,23 +253,36 @@ class Polytope(Frozen):
 
     def face_vertex_sets(self):
         """All nonempty faces as vertex-index sets (including the body)."""
-        full = frozenset(range(len(self.vertices)))
         facet_sets = self.facet_vertex_sets()
-        faces = {full}
-        fresh = set(facet_sets)
+        faces, fresh = {frozenset(range(len(self.vertices)))}, set(facet_sets)
         while fresh:
             faces |= fresh
-            nxt = set()
-            for f in fresh:
-                for g in facet_sets:
-                    h = f & g
-                    if h and h not in faces:
-                        nxt.add(h)
-            fresh = nxt
+            fresh = {h for f in fresh for g in facet_sets for h in (f & g,) if h and h not in faces}
         return faces
 
     def face_polytope(self, vertex_indices):
-        return convex_hull([self.vertices[i] for i in sorted(vertex_indices)])
+        """The face on these vertex indices, as ``convex_hull`` of its vertices
+        gives it, read off this polytope's facet incidences with no hull."""
+        chosen = sorted(vertex_indices)
+        pts = [self.vertices[i] for i in chosen]
+        rows = [clear_denominators((1,) + p) for p in pts]
+        reduced, pivots = integer_rref(rows)
+        kernel = rref_nullspace(reduced, pivots, len(rows[0]))
+        coords = [tuple(r[c] for c in pivots) for r in rows]
+        # its facets are the maximal sets G cap S, G a facet, other than {} and
+        # S (Kaibel & Pfetsch 2002), here renumbered over S; each normal is a
+        # kernel line in the pivot frame, signed by a vertex of S off it
+        meets = {sum(1 << k for k, i in enumerate(chosen) if t >> i & 1) for t in self._facet_masks}
+        meets -= {0, (1 << len(pts)) - 1}
+        facets = []
+        for t in meets:
+            if any(t & u == t != u for u in meets):
+                continue  # inside another G cap S: no facet of the face
+            n = _kernel_line([c for k, c in enumerate(coords) if t >> k & 1])
+            off = next(c for k, c in enumerate(coords) if not t >> k & 1)
+            signed = n if vec_dot(n, off) > 0 else [-x for x in n]
+            facets.append((_scatter(signed, pivots, len(rows[0])), t))
+        return _polytope(self.ambient_rank, pts, facets, kernel)
 
     def is_face_of(self, other):
         """True iff this polytope is a face of the other one."""
@@ -305,7 +325,12 @@ def convex_hull(points):
         raise DimensionError(f"ambient rank {ambient} exceeds the cap {DIMENSION_CAP}")
     pts = sorted({p if all(type(x) is Fraction for x in p) else tuple(map(Fraction, p))
                   for p in map(tuple, points)})
-    cone_facets, kernel = _dual([clear_denominators((1,) + p) for p in pts], ambient + 1)
+    return _polytope(ambient, pts, *_dual([clear_denominators((1,) + p) for p in pts], ambient + 1))
+
+
+def _polytope(ambient, pts, cone_facets, kernel):
+    """The polytope on sorted distinct points from the facets (normal, mask of
+    the points on it) and vanishing linear forms of the cone over them."""
     # facet (a0, a) of the cone over the points is a . x >= -a0; the cone over
     # a single point has no facet through a point
     facets = sorted(((a[1:], -a[0]), t) for a, t in cone_facets if t)
@@ -313,18 +338,10 @@ def convex_hull(points):
     extreme = [i for i in range(len(pts)) if _closure(1 << i, masks, len(pts)) == 1 << i]
     index = {i: j for j, i in enumerate(extreme)}
     facet_masks = tuple(sum(1 << j for i, j in index.items() if t >> i & 1) for t in masks)
-    equations = []
-    for w in kernel:
-        n = canonical_direction(w[1:])
-        equations.append((n, vec_dot(n, pts[0])))
-    return Polytope(
-        ambient,
-        tuple(pts[i] for i in extreme),
-        tuple(h for h, _ in facets),
-        tuple(sorted(equations)),
-        ambient - len(kernel),
-        facet_masks,
-    )
+    normals = [canonical_direction(w[1:]) for w in kernel]
+    equations = tuple(sorted((n, vec_dot(n, pts[0])) for n in normals))
+    return Polytope(ambient, tuple(pts[i] for i in extreme), tuple(h for h, _ in facets),
+                    equations, ambient - len(kernel), facet_masks)
 
 
 def _is_face(vertices, polytope, index=None):
@@ -470,11 +487,7 @@ class Cone(Frozen):
     def from_rays(cls, ambient_rank, rays):
         prim = sorted({primitive(r) for r in rays if any(x != 0 for x in r)})
         if not prim:
-            eqs = tuple(
-                tuple(1 if i == j else 0 for j in range(ambient_rank))
-                for i in range(ambient_rank)
-            )
-            return cls(ambient_rank, (), (), eqs)
+            return cls(ambient_rank, (), (), mat_identity(ambient_rank))
         facets, kernel = _dual(prim, ambient_rank)
         ineqs = tuple(n for n, _ in facets)
         tight = [t for _, t in facets]
@@ -660,18 +673,9 @@ def hilbert_basis(cone, gamma=None):
         candidates.update(gens)
     candidates.discard(tuple(0 for _ in range(k)))
     candidates = sorted(candidates)
-    basis = []
-    for g in candidates:
-        reducible = False
-        for m in candidates:
-            if m == g:
-                continue
-            diff = vec_sub(g, m)
-            if any(x != 0 for x in diff) and red_cone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(g)
+    # g is reducible when g - m lies in the cone for another candidate m
+    basis = [g for g in candidates
+             if not any(m != g and red_cone.contains(vec_sub(g, m)) for m in candidates)]
     return tuple(sorted(lat.member(x) for x in basis))
 
 

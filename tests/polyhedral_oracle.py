@@ -31,6 +31,10 @@ the second measures each cell's volume in the frame of the union's hull.
 Here both run on this module's ``convex_hull`` and ``_AffineFrame`` (whose
 ``coords`` and ``dim`` are those of the library's later integer frame).
 
+``face_polytope`` is the library's earlier ``Polytope.face_polytope``, which
+hulled the face's vertices with the library's ``convex_hull`` instead of
+reading the face off its parent's facet incidences.
+
 ``_intersection_vertices`` and ``_is_face`` are validation's earlier pair
 path, which intersected every pair of cells by double description and
 rebuilt the vertex index of a polytope for each face test; they are the
@@ -56,6 +60,7 @@ from ssvlib.linalg import (
     vec_sub,
 )
 from ssvlib.polyhedral import DIMENSION_CAP, Cone, Polytope, _closure, _cone_vertices
+from ssvlib.polyhedral import convex_hull as library_hull
 
 
 def mat_rank(m):
@@ -716,3 +721,7 @@ def _is_face(vertices, polytope):
         return False
     mine = sum(1 << i for i in found)
     return _closure(mine, polytope._facet_masks, len(index)) == mine
+
+
+def face_polytope(polytope, vertex_indices):
+    return library_hull([polytope.vertices[i] for i in sorted(vertex_indices)])

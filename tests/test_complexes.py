@@ -384,3 +384,52 @@ def test_multiplication_symmetric_and_reflexive():
         assert multiplication_behavior(x, a, a) is MultiplicationBehavior.ISOMORPHISM
         for b in samples:
             assert multiplication_behavior(x, a, b) is multiplication_behavior(x, b, a)
+
+
+def test_cell_with_vertices_is_the_first_cell_on_exactly_those_vertices():
+    gamma = Lattice(2, [(1, 0), (0, 2)])
+    segment = convex_hull([(0,), (2,)])
+    group = gamma.intersect_subspace(cone_over(segment).rays)
+    point = convex_hull([(0,)])
+    cells = (
+        Cell("b", segment, group),
+        Cell("a", segment, group),
+        Cell("p", point, gamma.intersect_subspace(cone_over(point).rays)),
+    )
+    x = SSVComplex(1, gamma, cells, ("a", "b"))
+    assert x.cell_with_vertices(segment.vertices).id == "a"
+    assert x.cell_with_vertices(list(segment.vertices)).id == "a"
+    assert x.cell_with_polytope(point).id == "p"
+    assert x.cell_with_vertices(segment.vertices[::-1]) is None  # unsorted
+    assert x.cell_with_vertices(segment.vertices[1:]) is None  # a subset on no cell
+    assert x.cell_with_vertices(segment.vertices[:1] * 2) is None  # a repeated vertex
+    assert x.cell_with_vertices(convex_hull([(0,), (4,)]).vertices) is None  # a foreign vertex
+    assert x.cell_with_vertices(convex_hull([(4,)]).vertices) is None
+    assert x.cell_with_vertices(()) is None
+
+
+def test_complete_faces_hulls_nothing(monkeypatch):
+    # every face is read off its cell's facet incidences
+    from ssvlib import polyhedral
+
+    gamma = Lattice.standard(3)
+    points = [(x, y) for x in range(3) for y in range(3)]
+    heights = [(x * y + 2 * x) % 3 + y * y for x, y in points]
+    cells = regular_subdivision(convex_hull(points), points, heights)
+    wrapped = [
+        Cell(f"c{i}", p, gamma.intersect_subspace(cone_over(p).rays)) for i, p in enumerate(cells)
+    ]
+    base = SSVComplex(2, gamma, wrapped, tuple(c.id for c in wrapped))
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(polyhedral, "convex_hull", counted)
+    monkeypatch.setattr(complexes, "convex_hull", counted)
+    full = complete_faces(base)
+    assert calls == []
+    assert len(full.cells) > len(base.cells)
+    monkeypatch.undo()
+    assert full.validate().passed

@@ -2,13 +2,18 @@
 
 An object in a reference cycle outlives its last use until the cyclic
 collector runs, so one cycle made per operation raises the peak memory of
-every long run.  With the collector off, a matroid search and a toric
-operation (subdivide, complete faces, validate, toric H0/H1) must leave
-nothing for ``gc.collect()`` to find.
+every long run.  With the collector off, a matroid search, a toric
+operation (subdivide, complete faces, validate, toric H0/H1) and a warm
+in-process ``ssv validate --format json`` must leave nothing for
+``gc.collect()`` to find.
 """
 
+import contextlib
 import gc
+import io
+from pathlib import Path
 
+from ssvlib import cli
 from ssvlib.cohomology import cohomology_invariants
 from ssvlib.complexes import Cell, SSVComplex, complete_faces
 from ssvlib.degeneration import regular_subdivision
@@ -53,3 +58,15 @@ def test_the_matroid_search_leaves_no_cycle():
 
 def test_a_toric_operation_leaves_no_cycle():
     assert _unreachable_after(_toric_op) == 0
+
+
+def _validate_json():
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "two_triangles.json"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["validate", str(fixture), "--format", "json"]) == 0
+    assert '"passed": true' in out.getvalue()
+
+
+def test_a_cli_report_leaves_no_cycle():
+    _validate_json()  # the first call builds the cached argument parser
+    assert _unreachable_after(_validate_json) == 0

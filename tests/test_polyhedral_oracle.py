@@ -5,7 +5,8 @@ searches in ``polyhedral_oracle``; every description (vertices or rays,
 inequalities, equations) must come out identical; so must the cone over a
 polytope, read off its descriptions, and the cone over its vertices.
 ``is_face_of`` is checked against the enumerated face lattice,
-``face_vertex_sets``.  The kernel itself, double description, is compared
+``face_vertex_sets``, and each face read off its parent's incidences against
+the hull of its vertices.  The kernel itself, double description, is compared
 with the exhaustive search it replaced, and its Bareiss kernel lines with
 the Hermite-form ``integer_kernel``.  Regular subdivisions, also several
 in turn of one polytope with its points as int tuples, Fraction tuples or
@@ -175,9 +176,9 @@ def test_cone_from_halfspaces_matches_oracle(case, data):
 
 
 @st.composite
-def affine_point_sets(draw):
-    """Points spanning a polytope of any dimension 0..d in Q^d, 0 <= d <= 4."""
-    d = draw(st.integers(0, 4))
+def affine_point_sets(draw, low=0):
+    """Points spanning a polytope of any dimension 0..d in Q^d, low <= d <= 4."""
+    d = draw(st.integers(low, 4))
     rank = draw(st.integers(0, d))
     base = draw(st.tuples(*[coordinate] * d))
     directions = draw(st.lists(st.tuples(*[coordinate] * d), min_size=rank, max_size=rank))
@@ -195,6 +196,19 @@ def test_cone_over_matches_oracle(points):
     mine = _cone_parts(cone_over(p))
     assert mine == _cone_parts(oracle.cone_over(p))
     assert all(type(x) is int for part in mine for row in part for x in row)
+
+
+def _all_fields(p):
+    return p.ambient_rank, p.vertices, p.inequalities, p.equations, p._dim, p._facet_masks
+
+
+@EXAMPLES
+@given(affine_point_sets(low=1))
+def test_faces_from_incidences_match_the_hull(points):
+    # every face, the body included, of polytopes that are often lower-dimensional
+    p = convex_hull(points)
+    for f in p.face_vertex_sets():
+        assert _all_fields(p.face_polytope(f)) == _all_fields(oracle.face_polytope(p, f))
 
 
 @st.composite
